@@ -18,9 +18,11 @@ import (
 // machinery exercises — no surviving lessee can run its own fix-up, and
 // recovery must be driven entirely from the persistent image. What
 // persists is exactly the state the RME model places in NVRAM: the arena
-// shape (stripes, per-stripe lock shape, port counts and active bounds),
+// shape (stripe count, port count, the table's lock shape, the seed),
 // every port's epoch-stamped lease word, the key each live tenancy was
 // locking, and whether that tenancy held its stripe's critical section.
+// Every stripe of a table has the same shape and full port capacity for
+// its whole lifetime, so the image carries no per-stripe header.
 // Volatile state dies with the process by design: parked waiters, async
 // inbox entries, and undelivered grants are all in the dead incarnation's
 // memory, so a queued-but-ungranted request is simply lost (its caller
@@ -31,8 +33,8 @@ import (
 // checkpointed one, so any lease value that somehow survived the crash
 // (a stale PortLease in application state, a fencing token handed to an
 // external system) fails its CAS loudly instead of aliasing a new
-// tenancy — the same epoch-fencing invariant Resize preserves, extended
-// across incarnations. Every non-free tenancy is restored as an orphan
+// tenancy — the lease pool's epoch-fencing invariant, extended across
+// incarnations. Every non-free tenancy is restored as an orphan
 // and healed by the normal two-phase reclaim (claim all, then recover
 // concurrently): a tenancy that died holding its critical section is
 // re-adopted onto the fresh backend first, so the recovery Lock re-enters
@@ -45,16 +47,16 @@ import (
 
 // ckptMagic opens every checkpoint; the trailing byte is the format
 // generation (bump together with ckptVersion on incompatible changes).
-var ckptMagic = []byte("RMECKPT1")
+// A generation 1 image (which also recorded a per-stripe lock shape and
+// active-port bound) fails this check and is rejected as corrupt.
+var ckptMagic = []byte("RMECKPT2")
 
 const (
-	ckptVersion = 1
+	ckptVersion = 2
 
 	// ckptHeaderLen is magic + version(4) + seed(8) + shards(4) +
 	// ports(4) + table backend(1).
 	ckptHeaderLen = 8 + 4 + 8 + 4 + 4 + 1
-	// ckptStripeHeaderLen is per-stripe backend(1) + active bound(4).
-	ckptStripeHeaderLen = 1 + 4
 	// ckptPortLen is per-port lease word(8) + key(8) + flags(1).
 	ckptPortLen = 8 + 8 + 1
 
@@ -71,10 +73,9 @@ const (
 // ordinary errors instead: the bytes are fine, the request is not.
 var ErrCheckpointCorrupt = errors.New("rme: corrupt checkpoint")
 
-// Checkpoint serializes the table's persistent state — arena shape,
-// per-stripe lock shapes and active-port bounds, every port's
-// epoch-stamped lease word, tenancy key, and critical-section ownership —
-// into a self-describing, versioned, checksummed byte image for
+// Checkpoint serializes the table's persistent state — arena shape, every
+// port's epoch-stamped lease word, tenancy key, and critical-section
+// ownership — into a self-describing, versioned, checksummed byte image for
 // RestoreTable. The volatile tiers (parked waiters, async inboxes, the
 // executor's run queue and workers, undelivered grants) are deliberately
 // absent: they model process memory, which a system-wide crash erases.
@@ -101,7 +102,7 @@ var ErrCheckpointCorrupt = errors.New("rme: corrupt checkpoint")
 // submitters have stopped — the discipline the snapshot tests lean on.
 func (t *LockTable) Checkpoint() ([]byte, error) {
 	shards, ports := len(t.shards), t.ports
-	buf := make([]byte, 0, ckptHeaderLen+shards*(ckptStripeHeaderLen+ports*ckptPortLen)+4)
+	buf := make([]byte, 0, ckptHeaderLen+shards*ports*ckptPortLen+4)
 	buf = append(buf, ckptMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, ckptVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, t.seed)
@@ -110,13 +111,10 @@ func (t *LockTable) Checkpoint() ([]byte, error) {
 	buf = append(buf, byte(t.backend))
 	for i := range t.shards {
 		sh := &t.shards[i]
-		m := sh.m()
-		buf = append(buf, byte(sh.backend.Load()))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(sh.pool.Active()))
 		for p := 0; p < ports; p++ {
 			w := sh.pool.words[p].Load()
 			var flags byte
-			if w&leaseStateMask != leaseFree && m.Held(p) {
+			if w&leaseStateMask != leaseFree && sh.lk.Held(p) {
 				flags |= ckptFlagInCS
 			}
 			buf = binary.LittleEndian.AppendUint64(buf, w)
@@ -130,11 +128,9 @@ func (t *LockTable) Checkpoint() ([]byte, error) {
 
 // ckptStripe is one decoded stripe image.
 type ckptStripe struct {
-	backend ShardBackend
-	active  int
-	words   []uint64
-	keys    []uint64
-	inCS    int // port index holding the CS, or -1
+	words []uint64
+	keys  []uint64
+	inCS  int // port index holding the CS, or -1
 }
 
 // corrupt builds a RestoreTable decode error; every path through it wraps
@@ -146,8 +142,7 @@ func corrupt(format string, args ...any) error {
 // RestoreTable builds a fresh LockTable from a Checkpoint image — the new
 // incarnation after a system-wide crash. The restored table reproduces the
 // checkpointed arena exactly (stripe count, port count, table seed, and
-// each stripe's lock shape, including shapes the supervisor had migrated
-// stripes to), with every fencing epoch strictly advanced and every
+// lock shape), with every fencing epoch strictly advanced and every
 // non-free tenancy of the dead incarnation surfaced as an orphan. A
 // tenancy that died inside its critical section is re-adopted onto the
 // fresh stripe lock, so the stripe stays exclusively held until reclaim
@@ -166,9 +161,10 @@ func corrupt(format string, args ...any) error {
 // Options mean what they mean on NewLockTable, with two restore-specific
 // rules: WithTableSeed and WithShardBackend, if given, must agree with the
 // image (the seed fixes the key-to-stripe map the checkpointed keys were
-// placed under, and the backend is an assertion, not a migration request —
+// placed under, and the backend is an assertion, not a reshape request —
 // both mismatches error). Corrupted or truncated bytes return an error
-// wrapping ErrCheckpointCorrupt, never panic.
+// wrapping ErrCheckpointCorrupt, never panic; so does an image in an
+// older format generation.
 func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 	if len(data) < ckptHeaderLen+4 {
 		return nil, corrupt("image truncated (%d bytes)", len(data))
@@ -178,7 +174,7 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 		return nil, corrupt("checksum mismatch (computed %#x, recorded %#x)", got, want)
 	}
 	if string(body[:8]) != string(ckptMagic) {
-		return nil, corrupt("bad magic %q", body[:8])
+		return nil, corrupt("bad magic %q (want %q)", body[:8], ckptMagic)
 	}
 	off := 8
 	u32 := func() uint32 {
@@ -205,7 +201,7 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 	// The exact-length check both rejects truncated/padded images and
 	// bounds the allocations below: a forged shard count cannot make us
 	// allocate more than the image's own length justifies.
-	want := uint64(ckptHeaderLen) + uint64(shards)*(ckptStripeHeaderLen+uint64(ports)*ckptPortLen) + 4
+	want := uint64(ckptHeaderLen) + uint64(shards)*uint64(ports)*ckptPortLen + 4
 	if uint64(len(data)) != want {
 		return nil, corrupt("length %d does not match declared %d×%d arena (want %d)", len(data), shards, ports, want)
 	}
@@ -214,20 +210,9 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 	}
 
 	stripes := make([]ckptStripe, shards)
-	stripeBackends := make([]ShardBackend, shards)
 	orphans := 0
 	for i := range stripes {
 		st := &stripes[i]
-		st.backend = ShardBackend(body[off])
-		off++
-		if !validConcreteBackend(st.backend) {
-			return nil, corrupt("stripe %d: invalid backend %d", i, int(st.backend))
-		}
-		stripeBackends[i] = st.backend
-		st.active = int(u32())
-		if st.active < 1 || st.active > ports {
-			return nil, corrupt("stripe %d: active bound %d outside [1,%d]", i, st.active, ports)
-		}
 		st.words = make([]uint64, ports)
 		st.keys = make([]uint64, ports)
 		st.inCS = -1
@@ -262,25 +247,20 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 		return nil, fmt.Errorf("rme: RestoreTable: WithTableSeed(%#x) contradicts the checkpointed seed %#x (the seed fixes the key-to-stripe map; omit the option to inherit it)", cfg.seed, seed)
 	}
 	if cfg.backendSet && cfg.backend.resolve(ports) != tableBackend {
-		return nil, fmt.Errorf("rme: RestoreTable: WithShardBackend(%v) contradicts the checkpointed backend %v (restore reproduces the image's shapes; omit the option to inherit them)", cfg.backend.resolve(ports), tableBackend)
+		return nil, fmt.Errorf("rme: RestoreTable: WithShardBackend(%v) contradicts the checkpointed backend %v (restore reproduces the image's shape; omit the option to inherit it)", cfg.backend.resolve(ports), tableBackend)
 	}
 
-	t := newTableArena(shards, ports, seed, tableBackend, cfg, opts, stripeBackends)
-	slack := 0
+	t := newTableArena(shards, ports, seed, tableBackend, cfg, opts)
 	for i := range stripes {
 		st := &stripes[i]
 		sh := &t.shards[i]
-		if st.active != ports {
-			sh.pool.active.Store(int64(st.active))
-		}
-		slack += ports - st.active
 		if st.inCS >= 0 {
 			// Adopt the dead holder's critical section before publishing
 			// its lease word: the fresh lock is uncontended and the restore
 			// is single-threaded, so Lock re-establishes ownership
 			// immediately on any backend, and everything that queues later
 			// correctly queues behind the orphan.
-			sh.m().Lock(st.inCS)
+			sh.lk.Lock(st.inCS)
 		}
 		for p := 0; p < ports; p++ {
 			epoch := (st.words[p] >> leaseEpochShift) + 1
@@ -292,9 +272,6 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 			sh.pool.words[p].Store(epoch<<leaseEpochShift | state)
 		}
 	}
-	// Bank the shrunk stripes' headroom as slack, as the shrink passes
-	// that created it did; without the adaptive policy it just sits unused.
-	t.slack.Store(int64(slack))
 	t.finishInit(cfg, orphans > 0)
 	return t, nil
 }

@@ -1,7 +1,9 @@
 package rme_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,9 +14,9 @@ import (
 
 // This file pins the Checkpoint/RestoreTable contract in-process: exact
 // round-trip of the arena shape and key-to-stripe map, strict epoch
-// advancement across the restore, orphan surfacing and healing, the
-// mid-migration-quiesce snapshot, option-mismatch rejection, and the
-// never-panic decode of corrupted or truncated bytes. The real
+// advancement across the restore, orphan surfacing and healing,
+// option-mismatch rejection, and the never-panic decode of corrupted,
+// truncated, or retired-format (v1) bytes. The real
 // process-boundary proof lives in syscrash_test.go.
 
 // distinctStripeKeys returns n keys mapping to n distinct stripes of tbl,
@@ -202,62 +204,6 @@ func TestCheckpointRestoreHealsOrphans(t *testing.T) {
 	})
 }
 
-// TestCheckpointMidMigrationQuiesce snapshots a table while a stripe's
-// migration barrier is closed and draining — the gate half-way state PR 8
-// introduced — and proves the image restores to a sane arena: the stripe
-// keeps its pre-swap shape (the migration never happened in the image),
-// the gate is open, and the held tenancy that was blocking the drain
-// surfaces as a reclaimable orphan.
-func TestCheckpointMidMigrationQuiesce(t *testing.T) {
-	tbl := rme.NewLockTable(4, 4, rme.WithTableSeed(41), rme.WithShardBackend(rme.FlatBackend))
-	defer tbl.Close()
-	key := distinctStripeKeys(t, tbl, 1)[0]
-	si := tbl.ShardIndex(key)
-
-	// A live holder keeps the stripe from draining, so the migration's
-	// quiesce barrier stays closed until we let go.
-	tbl.Lock(key)
-	migDone := make(chan bool, 1)
-	go func() { migDone <- tbl.ForceMigrate(si, rme.TreeBackend, 5*time.Second) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for !tbl.GateClosed(si) {
-		if time.Now().After(deadline) {
-			t.Fatal("migration barrier never closed")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-
-	data := mustCheckpoint(t, tbl)
-	tbl.Unlock(key)
-	<-migDone // let the migration finish (or time out) before Close
-
-	nt, err := rme.RestoreTable(data)
-	if err != nil {
-		t.Fatalf("RestoreTable of mid-quiesce image: %v", err)
-	}
-	defer nt.Close()
-	if got := nt.ShardBackendOf(si); got != rme.FlatBackend {
-		t.Fatalf("mid-quiesce image restored stripe as %v; the swap had not happened, want flat", got)
-	}
-	if nt.GateClosed(si) {
-		t.Fatal("restored stripe's migration gate is closed; gates are volatile state")
-	}
-	if got := nt.Orphans(); got != 1 {
-		t.Fatalf("restored with %d orphans, want the one draining holder", got)
-	}
-	if !nt.Held(key) {
-		t.Fatal("the holder blocking the drain was in its CS; restored image lost it")
-	}
-	if n := nt.Reclaim(); n != 1 {
-		t.Fatalf("Reclaim healed %d, want 1", n)
-	}
-	nt.Lock(key)
-	nt.Unlock(key)
-	if !nt.Quiesced() {
-		t.Fatal("restored table not quiesced")
-	}
-}
-
 // TestCheckpointRestoreOptionMismatch pins the two restore-specific option
 // rules: an explicit WithShardBackend or WithTableSeed that contradicts
 // the image errors (and a matching or Auto-resolving one does not). The
@@ -296,7 +242,9 @@ func TestCheckpointRestoreOptionMismatch(t *testing.T) {
 
 // TestCheckpointCorruptBytes feeds RestoreTable every way bytes go bad —
 // nil, empty, truncated at every prefix length, padded with trailing
-// garbage, and each byte flipped in turn — and requires an error wrapping
+// garbage, each byte flipped in turn, and a well-formed, checksummed image
+// of the retired generation 1 layout (which carried a per-stripe lock
+// shape and active-port bound) — and requires an error wrapping
 // ErrCheckpointCorrupt every time, never a panic (the test harness turns
 // any panic into a failure).
 func TestCheckpointCorruptBytes(t *testing.T) {
@@ -328,6 +276,22 @@ func TestCheckpointCorruptBytes(t *testing.T) {
 		mut[i] ^= 0xff
 		mustReject("byte flipped", mut)
 	}
+
+	le := binary.LittleEndian
+	var v1 []byte
+	v1 = append(v1, "RMECKPT1"...)
+	v1 = le.AppendUint32(v1, 1)    // version
+	v1 = le.AppendUint64(v1, 0x51) // seed
+	v1 = le.AppendUint32(v1, 1)    // shards
+	v1 = le.AppendUint32(v1, 1)    // ports
+	v1 = append(v1, byte(rme.FlatBackend))
+	v1 = append(v1, byte(rme.FlatBackend)) // stripe 0 backend
+	v1 = le.AppendUint32(v1, 1)            // stripe 0 active bound
+	v1 = le.AppendUint64(v1, 0)            // port 0 lease word
+	v1 = le.AppendUint64(v1, 0)            // port 0 key
+	v1 = append(v1, 0)                     // port 0 flags
+	v1 = le.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	mustReject("v1 image", v1)
 }
 
 // TestCheckpointRestoreSupervisorEagerSweep proves the restore-triggered

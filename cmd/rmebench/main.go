@@ -34,9 +34,9 @@ func main() {
 		md       = flag.Bool("md", false, "emit EXPERIMENTS.md markdown to stdout")
 		jsonOut  = flag.Bool("json", false, "benchmark the runtime lock per wait strategy and write BENCH_<scenario>.json files")
 		outDir   = flag.String("outdir", ".", "directory for the BENCH_<scenario>.json files")
-		scenario = flag.String("scenario", "", "with -json: run only these comma-separated scenarios (uncontended, contended8, oversubscribed, tree, tree_oversubscribed, keyed_uniform, keyed_zipf, keyed_crash, keyed_abort, keyed_abort_tree, keyed_abort_mcs, keyed_async, keyed_manyshards, keyed_adaptive, keyed_hot8, keyed_batch, keyed_hiport, keyed_tree, keyed_mcs, keyed_syscrash, keyed_syscrash_1m); scenarios sharing a BENCH file should be regenerated together")
+		scenario = flag.String("scenario", "", "with -json: run only these comma-separated scenarios (uncontended, contended8, oversubscribed, tree, tree_oversubscribed, keyed_uniform, keyed_zipf, keyed_crash, keyed_abort, keyed_abort_tree, keyed_abort_mcs, keyed_async, keyed_manyshards, keyed_supervised, keyed_hot8, keyed_batch, keyed_hiport, keyed_tree, keyed_mcs, keyed_syscrash, keyed_syscrash_1m); scenarios sharing a BENCH file should be regenerated together")
 		backend  = flag.String("backend", "", "with -json: force every keyed scenario onto this shard backend (flat, tree, mcs, auto; case-insensitive) instead of each scenario's own — for ad-hoc backend comparisons; leave unset when regenerating committed baselines")
-		stats    = flag.Bool("stats", false, "with -json: capture each keyed cell's post-run TableStats snapshot (per-stripe counters, backends, active ports, supervisor activity) and write STATS_<file>.json alongside the BENCH files; the snapshots are stripped from the BENCH files themselves, which record only gate-comparable samples")
+		stats    = flag.Bool("stats", false, "with -json: capture each keyed cell's post-run TableStats snapshot (per-stripe counters, supervisor sweeps and heals, dispatcher pool gauges) and write STATS_<file>.json alongside the BENCH files; the snapshots are stripped from the BENCH files themselves, which record only gate-comparable samples")
 		compare  = flag.String("compare", "", "comma-separated baseline BENCH_<scenario>.json files: re-run their scenarios and exit non-zero on regression")
 		tol      = flag.Float64("tol", 0.20, "with -compare: allowed fractional ns/op increase before it counts as a regression")
 	)

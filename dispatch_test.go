@@ -28,41 +28,71 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestDispatchQuiescedPendingDelivery is the quiesce-reasoning regression
-// test (the same class of bug as the PR 8 inbox-depth fix, one window
-// later): an async request that has been swapped out of its stripe's
-// inbox but whose delivery has not yet acquired a lease holds nothing the
-// old Quiesced() could see — InUse() was 0 and the inbox depth had
-// already been decremented at swap time — so the table reported quiescent
-// with a grant still owed. The fix keeps each request in its stripe's
-// pending count until its delivery holds the lease (or sheds), closing
-// the window: at every instant a submitted-but-unsettled request is
-// visible through InboxDepth or InUse.
+// test (the same class of bug as the inbox-depth fix
+// TestSupervisorQuiescedInboxDepth pins, one window later): an async
+// request that has been swapped out of its stripe's inbox but whose
+// delivery has not yet acquired a lease holds nothing the old Quiesced()
+// could see — InUse() was 0 and the inbox depth had already been
+// decremented at swap time — so the table reported quiescent with a grant
+// still owed. The fix keeps each request in its stripe's pending count
+// until its delivery holds the lease (or sheds), closing the window: at
+// every instant a submitted-but-unsettled request is visible through
+// InboxDepth or InUse.
 //
-// The window is pinned deterministically by force-closing the stripe's
-// migration gate: the delivery parks at the barrier after the swap,
-// holding no lease, and stays there until the test reopens it.
+// The window is pinned deterministically on a one-worker pool: two
+// requests are queued on stripe A while the only worker is wedged on
+// stripe B, so releasing the wedge makes the worker swap both in one
+// batch; the first is a callback that settles its grant and then blocks,
+// which parks the worker with the second request swapped, holding no
+// lease, and not yet delivered.
 func TestDispatchQuiescedPendingDelivery(t *testing.T) {
-	tbl := rme.NewLockTable(1, 2, rme.WithTableSeed(1))
+	tbl := rme.NewLockTable(2, 2, rme.WithTableSeed(1), rme.WithDispatcherPool(1))
 	defer tbl.Close()
+	keys := distinctStripeKeys(t, tbl, 2)
+	a, b := keys[0], keys[1]
+	sa := tbl.ShardIndex(a)
 
-	tbl.SetGateClosed(0, true)
-	ch := tbl.LockAsync(7)
+	// settleThenBlock settles its grant, so the tenancy leaves InUse, then
+	// holds the pool's only worker until release closes.
+	settleThenBlock := func(entered, release chan struct{}) func(rme.Grant) {
+		return func(g rme.Grant) {
+			g.Unlock()
+			close(entered)
+			<-release
+		}
+	}
 
-	// The delivery has reached the gate: batch swapped, no lease taken.
-	waitFor(t, 5*time.Second, "delivery parked at the migration gate", func() bool {
-		return tbl.GateWaiters(0) > 0
-	})
+	// Wedge the only worker on stripe B.
+	bEntered, bRelease := make(chan struct{}), make(chan struct{})
+	tbl.LockAsyncFunc(b, settleThenBlock(bEntered, bRelease))
+	<-bEntered
+
+	// Queue a settle-then-block callback and a channel request on stripe A
+	// behind the wedge.
+	aEntered, aRelease := make(chan struct{}), make(chan struct{})
+	tbl.LockAsyncFunc(a, settleThenBlock(aEntered, aRelease))
+	ch := tbl.LockAsync(a)
+	if d := tbl.Stats().Shards[sa].InboxDepth; d != 2 {
+		t.Fatalf("InboxDepth = %d with two requests queued behind the wedge, want 2", d)
+	}
+
+	// Release the wedge: the worker swaps A's inbox as one batch, and the
+	// first callback settles its grant and blocks.
+	close(bRelease)
+	<-aEntered
+
+	// The second request is swapped but undelivered.
 	if n := tbl.InUse(); n != 0 {
-		t.Fatalf("InUse() = %d with the delivery parked at the gate, want 0", n)
+		t.Fatalf("InUse() = %d with every delivered grant settled, want 0", n)
+	}
+	if d := tbl.Stats().Shards[sa].InboxDepth; d != 1 {
+		t.Fatalf("InboxDepth = %d with one swapped-but-undelivered request, want 1", d)
 	}
 	if tbl.Quiesced() {
 		t.Fatal("Quiesced() = true with an async request pending delivery")
 	}
-	if d := tbl.Stats().Shards[0].InboxDepth; d != 1 {
-		t.Fatalf("InboxDepth = %d with one undelivered request, want 1", d)
-	}
 
-	tbl.SetGateClosed(0, false)
+	close(aRelease)
 	g := <-ch
 	if tbl.Quiesced() {
 		t.Fatal("Quiesced() = true with an unsettled grant outstanding")

@@ -80,8 +80,9 @@
 //     running the recovery Lock on each, concurrently, since orphans can
 //     be queued behind each other's dead nodes — and returns them to the
 //     pool.
-//   - LockTable is the keyed lock service built from both: string or
-//     uint64 keys hash onto shards, each shard one k-ported recoverable
+//   - LockTable is the keyed lock service built from both: uint64 keys
+//     (StringKey folds a string to one) hash onto shards, each shard one
+//     k-ported recoverable
 //     lock (flat, tree, or MCS — see "Choosing a shard backend") plus a
 //     lease pool, so an unbounded keyspace shares O(shards·ports) of
 //     permanent lock state. Mutual exclusion is per key via striping
@@ -90,13 +91,15 @@
 //     (ReclaimWith reports each dead tenancy's key and whether it held
 //     the critical section, the hook for application-level redo/undo).
 //     Crash-free keyed passages allocate nothing once the node pools are
-//     warm.
+//     warm. That needs WithNodePool(true) on flat and tree shards, whose
+//     passages otherwise allocate their queue nodes; MCS shards allocate
+//     nothing either way. The node pool is off by default.
 //
 // An orphaned tenancy still owns its protocol state — it can hold its
 // stripe's critical section or stall the queue behind it — so it must be
 // swept promptly, exactly as RME's progress guarantees assume crashed
 // processes restart. A table built with WithSupervisor sweeps itself (see
-// "Self-managing tables" below, and examples/locktable for the pattern
+// "Supervised tables" below, and examples/locktable for the pattern
 // under a crash storm); a table without one must call Reclaim from its
 // own supervision loop after observing a death. Callers with a latency
 // budget rather than a liveness obligation should use the abortable tier
@@ -107,9 +110,11 @@
 //
 // Each shard's lock is the flat k-ported Mutex, a k-process arbitration
 // TreeMutex, or the recoverable MCS queue lock MCSMutex, selected by
-// WithShardBackend; every keyed contract (striping, recovery,
-// zero-allocation warm passages, async and batch) holds identically on
-// all three, so the choice is purely a performance trade:
+// WithShardBackend and fixed for the table's lifetime; every keyed
+// contract (striping, recovery, async and batch) holds identically on
+// all three, and so do zero-allocation warm passages once flat and tree
+// shards have WithNodePool(true) — MCS shards need no pool for it. The
+// choice is therefore purely a performance trade:
 //
 //   - The flat lock's crash-free passage is O(1) RMR — one queue entry,
 //     one handoff — and nothing beats it while recovery stays rare and
@@ -196,7 +201,8 @@
 // inside a callback eats delivery capacity table-wide (see the
 // pool-liveness note in locktable_async.go). Crash-free async and batch
 // passages allocate nothing once pools are warm (amortized over the
-// batch for DoBatch); WithDispatcherPool bounds the worker pool,
+// batch for DoBatch), under the same WithNodePool condition as Lock on
+// flat and tree shards; WithDispatcherPool bounds the worker pool,
 // WithDispatcherSpin sizes each worker's idle spin window, and
 // WithAsyncPrewarm warms the request free lists and spawns the pool
 // eagerly for first-request allocation budgets.
@@ -225,66 +231,45 @@
 //     ordinary orphan/reclaim machinery, where the table's supervisor
 //     (or a manual Reclaim) frees it like any other dead tenancy.
 //
-// TryLock is allocation-free and conservative: it may return false under
-// momentary contention (it refuses to queue), but true always means the
-// key is held. LockBatchContext is all-or-nothing — a deadline mid-batch
+// A TryLock miss allocates nothing; a hit is an ordinary passage and
+// allocates exactly as Lock does (nothing on MCS shards or with
+// WithNodePool(true), queue nodes otherwise). TryLock is conservative: it
+// may return false under momentary contention (it refuses to queue), but
+// true always means the key is held. LockBatchContext is all-or-nothing — a deadline mid-batch
 // releases every stripe already acquired, in ShardIndex order, before
 // returning the error. Sheds are counted per stripe in ShardStats
 // (Timeouts for context.DeadlineExceeded, Aborts for everything else);
 // TryLock misses are not sheds and are not counted. The committed
-// BENCH_keyed_abort.json baseline pins the tier's costs: both the
-// crash-free grant path and the deterministic pre-expired shed stay
-// inside the zero-allocation gate on all three backends.
+// BENCH_keyed_abort.json baseline pins the tier's costs: with the node
+// pool on, both the crash-free grant path and the deterministic
+// pre-expired shed stay inside the zero-allocation gate on all three
+// backends.
 //
-// # Self-managing tables
+// # Supervised tables
 //
-// Everything above leaves a deployment two standing chores: running a
-// reclaim loop so crashed tenancies are swept, and choosing the arena's
-// port counts and shard backend up front for a workload it has not seen
-// yet. WithSupervisor moves both into the table. A supervised table runs
-// one background goroutine that ticks on a jittered interval and, each
-// tick:
+// Everything above leaves a deployment one standing chore: running a
+// reclaim loop so crashed tenancies are swept. WithSupervisor moves it
+// into the table. A supervised table runs one background goroutine that
+// ticks on a jittered interval and, each tick, sweeps orphans under a
+// liveness budget. Up to MaxHealsPerTick stripes are healed per tick, a
+// round-robin cursor guaranteeing every stripe is reached within a few
+// ticks even mid-storm. Each heal claims every orphan on its stripe
+// before recovering any of them — the same two-phase discipline Reclaim
+// uses, so batched recovery cannot hold-and-wait on dead tenancies
+// queued behind one another — and abandoned async grants drain through
+// the same machinery. A supervised table therefore needs no manual
+// Reclaim calls, for crashes, cancellations, or abandoned grants alike.
 //
-//   - Sweeps orphans under a liveness budget. Up to MaxHealsPerTick
-//     stripes are healed per tick, a round-robin cursor guaranteeing
-//     every stripe is reached within a few ticks even mid-storm. Each
-//     heal claims every orphan on its stripe before recovering any of
-//     them — the same two-phase discipline Reclaim uses, so batched
-//     recovery cannot hold-and-wait on dead tenancies queued behind one
-//     another — and abandoned async grants drain through the same
-//     machinery. A supervised table therefore needs no manual Reclaim
-//     calls, for crashes, cancellations, or abandoned grants alike.
-//   - Resizes port pools (AdaptivePorts). Stripes observed idle shrink
-//     toward MinPorts, banking the freed quota in a table-wide slack
-//     pool; stripes with queued lease waiters grow out of it; and an
-//     acquirer that finds its stripe's pool exhausted under skew steals
-//     a port of slack directly rather than waiting for the next tick.
-//     Resizing moves only the pool's admission bound — lease words are
-//     epoch-stamped and never recycled across a resize — so the fencing
-//     and orphan-detection invariants are exactly those of the fixed-
-//     size pool (see PortLeaser.Resize for the full argument).
-//   - Migrates stripe shapes (Migrate). A stripe whose measured wakes-
-//     per-acquisition stays above HotWakesPerOp at a large active pool
-//     is rebuilt live as an arbitration tree; one idling at or below
-//     ColdWakesPerOp at small k becomes the flat lock; the middle
-//     ground runs the MCS queue lock. HysteresisTicks of consecutive
-//     agreement are required before any flip (and after one, before the
-//     next), so the policy cannot flap. The swap itself closes the
-//     stripe's admission gate — new entrants park and re-route, no
-//     tenancy ever straddles a swap — drains in-flight tenancies,
-//     verifies the outgoing backend is idle, and installs the new shape
-//     with the crash-injection hook carried over; a stripe that cannot
-//     quiesce within QuiesceTimeout keeps its old shape and the gate
-//     reopens harmlessly.
+// The supervisor changes nothing else: every stripe keeps the lock shape
+// and port count NewLockTable gave it, and choosing them is the caller's
+// job (see "Choosing a shard backend").
 //
 // Close stops the supervisor and joins every recovery it started.
 // SupervisorStats (in TableStats, JSON-ready like the rest of the
-// observability surface) reports sweeps, stripes and ports healed,
-// migrations by target shape, and the pool economy's grows, shrinks,
-// and steals. The committed BENCH_keyed_adaptive.json baseline pins the
-// feature's cost claim: a supervised table at steady state — supervisor
-// ticking, pools adapted, hot stripes migrated — still runs crash-free
-// passages allocation-free.
+// observability surface) reports sweeps and the stripes and ports
+// healed. The committed BENCH_keyed_supervised.json baseline pins the
+// feature's cost claim: with the supervisor sweeping every 200µs, a
+// pooled table's crash-free passages stay allocation-free.
 //
 // # System-wide crashes and snapshots
 //
@@ -299,9 +284,9 @@
 // incarnation, from that image alone.
 //
 // Checkpoint and RestoreTable are that tier. Checkpoint serializes the
-// durable half of a LockTable — the arena shape (stripes, per-stripe
-// backend and active-port bound, seed) and every port's lease word, key,
-// and critical-section ownership — into a self-describing, versioned,
+// durable half of a LockTable — the arena shape (stripe count, port
+// count, lock shape, seed) and every port's lease word, key, and
+// critical-section ownership — into a self-describing, versioned,
 // checksummed byte image; in the NVRAM reading, these are the words the
 // paper's model keeps in non-volatile memory, while parked waiters,
 // async inboxes, and undelivered grants are volatile process state and

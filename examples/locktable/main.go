@@ -1,9 +1,9 @@
-// locktable: the self-managing keyed lock service under fire. A pool of
+// locktable: the supervised keyed lock service under fire. A pool of
 // worker goroutines increments per-account balances in a "non-volatile"
-// ledger, locking each account by name through a LockTable — many
-// possible account keys striped over a small arena of recoverable
-// mutexes, with port identities leased per passage instead of pinned per
-// goroutine.
+// ledger, locking each account by name through a LockTable — account
+// names folded to keys with rme.StringKey and striped over a small arena
+// of recoverable mutexes, with port identities leased per passage instead
+// of pinned per goroutine.
 //
 // Injected crashes kill workers at arbitrary protocol steps, including
 // inside the critical section and half-way through a release. A dying
@@ -17,13 +17,9 @@
 // hand-rolled reclaim sweep in every worker's recovery path; the
 // supervised table makes that whole pattern disappear.
 //
-// The account traffic is deliberately skewed (a zipf draw puts most
-// deposits on one hot account), so the supervisor's adaptive policies
-// have something to notice: cold stripes shrink their port pools toward
-// the floor while the hot stripe keeps its full complement, and the hot
-// stripe's wakes-per-acquisition profile drives a live migration from
-// the flat lock shape it started with to a shape built for hand-off
-// traffic — while deposits keep flowing.
+// The account traffic is deliberately skewed (most deposits land on one
+// hot account), so the hot stripe is genuinely contended and its queue
+// is where most deaths leave their debris.
 //
 // Alongside the storm, an auditor reports running totals on a latency
 // budget: each account is read under LockContext with 1ms to spare, and
@@ -33,9 +29,8 @@
 // last published balance instead of queueing behind recovery.
 //
 // The invariant checked at the end: every increment applied exactly
-// once and no port left orphaned, despite the crash storm and the
-// stripe shapes changing underfoot — with SupervisorStats showing who
-// did the housekeeping.
+// once and no port left orphaned, despite the crash storm — with
+// SupervisorStats showing who did the housekeeping.
 //
 //	go run ./examples/locktable
 package main
@@ -75,6 +70,14 @@ type ledger struct {
 
 func accountName(i int) string { return fmt.Sprintf("acct/%03d", i) }
 
+// accountKey is each account's table key: its name folded to 64 bits.
+var accountKey = func() (k [accounts]uint64) {
+	for i := range k {
+		k[i] = rme.StringKey(accountName(i))
+	}
+	return k
+}()
+
 // withRecovery runs fn, converting an injected crash into a false return
 // (any other panic propagates). Note what is missing compared to a
 // hand-rolled supervisor: no Reclaim call. The orphan the death left
@@ -95,24 +98,22 @@ func withRecovery(fn func()) (ok bool) {
 	return true
 }
 
-// deposit adds amount to the named account, surviving any number of
-// injected deaths: a crashed Lock is simply retried (the retry parks
-// until the supervisor has healed the dead tenancy in its way, if any),
-// and a crashed Unlock is finished by the supervisor itself, so the
-// deposit — applied before the release began — counts exactly once
-// either way. The scheduler yield inside the critical section models
-// real CS work crossing a scheduler boundary; it is also what makes the
-// hot account genuinely contended on any GOMAXPROCS, giving the
-// supervisor's shape policy a hand-off profile worth migrating for.
-func (l *ledger) deposit(acct string, amount int) {
-	for !withRecovery(func() { l.tbl.LockString(acct) }) {
+// deposit adds amount to account idx, surviving any number of injected
+// deaths: a crashed Lock is simply retried (the retry parks until the
+// supervisor has healed the dead tenancy in its way, if any), and a
+// crashed Unlock is finished by the supervisor itself, so the deposit —
+// applied before the release began — counts exactly once either way. The
+// scheduler yield inside the critical section models real CS work
+// crossing a scheduler boundary; it is also what makes the hot account
+// genuinely contended on any GOMAXPROCS.
+func (l *ledger) deposit(idx, amount int) {
+	key := accountKey[idx]
+	for !withRecovery(func() { l.tbl.Lock(key) }) {
 	}
-	idx := 0
-	fmt.Sscanf(acct, "acct/%d", &idx)
 	l.balances[idx] += amount
 	runtime.Gosched() // critical-section work
 	l.published[idx].Store(int64(l.balances[idx]))
-	withRecovery(func() { l.tbl.UnlockString(acct) })
+	withRecovery(func() { l.tbl.Unlock(key) })
 }
 
 // auditTotal sums every account on a 1ms-per-key latency budget. An
@@ -123,10 +124,10 @@ func (l *ledger) deposit(acct string, amount int) {
 // from a best-effort one.
 func (l *ledger) auditTotal() (total int, degraded int) {
 	for i := 0; i < accounts; i++ {
-		acct := accountName(i)
+		key := accountKey[i]
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		var err error
-		ok := withRecovery(func() { err = l.tbl.LockContextString(ctx, acct) })
+		ok := withRecovery(func() { err = l.tbl.LockContext(ctx, key) })
 		cancel()
 		if !ok || err != nil {
 			total += int(l.published[i].Load())
@@ -134,29 +135,18 @@ func (l *ledger) auditTotal() (total int, degraded int) {
 			continue
 		}
 		total += l.balances[i]
-		withRecovery(func() { l.tbl.UnlockString(acct) })
+		withRecovery(func() { l.tbl.Unlock(key) })
 	}
 	return total, degraded
 }
 
 func main() {
-	// A 4-stripe × 48-port arena, deliberately built on flat shards — the
-	// wrong shape for a 48-port stripe under hand-off-heavy traffic — and
-	// handed to a supervisor aggressive enough to fix that during the
-	// storm: millisecond ticks, adaptive pools with a floor of 4 ports,
-	// and shape migration at a low wakes-per-acquisition threshold.
-	l := &ledger{tbl: rme.NewLockTable(4, 48,
+	// A 4-stripe × 16-port arena (enough ports for every worker plus the
+	// auditor to queue on the hot stripe) with a supervisor sweeping
+	// orphans every millisecond.
+	l := &ledger{tbl: rme.NewLockTable(4, 16,
 		rme.WithNodePool(true),
-		rme.WithShardBackend(rme.FlatBackend),
-		rme.WithSupervisor(rme.SupervisorConfig{
-			Interval:        time.Millisecond,
-			AdaptivePorts:   true,
-			MinPorts:        4,
-			Migrate:         true,
-			HotWakesPerOp:   0.05,
-			ColdWakesPerOp:  0.005,
-			HysteresisTicks: 2,
-		}))}
+		rme.WithSupervisor(rme.SupervisorConfig{Interval: time.Millisecond}))}
 	defer l.tbl.Close() // joins the supervisor and every heal it started
 
 	// Kill a worker roughly every two thousand protocol steps.
@@ -170,7 +160,7 @@ func main() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Zipf-skewed account choice: most deposits land on the hot
+			// Skewed account choice: most deposits land on the hot
 			// account, the tail spreads over the rest.
 			rng := xrand.New(uint64(w) + 1)
 			for i := 0; i < deposits; i++ {
@@ -178,7 +168,7 @@ func main() {
 				if rng.Uint64()%3 == 0 { // ~1/3 of traffic off the hot key
 					acct = 1 + rng.Intn(accounts-1)
 				}
-				l.deposit(accountName(acct), 1)
+				l.deposit(acct, 1)
 			}
 		}(w)
 	}
@@ -232,12 +222,9 @@ func main() {
 	sup := st.Supervisor
 	fmt.Printf("supervisor: %d sweeps, %d orphaned ports healed across %d stripe heals\n",
 		sup.Sweeps, sup.PortsHealed, sup.StripesHealed)
-	fmt.Printf("pool policy: %d shrinks, %d grows, %d steals; shape policy: %d migrations (%d→tree, %d→mcs, %d→flat)\n",
-		sup.Shrinks, sup.Grows, sup.Steals,
-		sup.Migrations(), sup.MigrationsToTree, sup.MigrationsToMCS, sup.MigrationsToFlat)
+	fmt.Printf("%d %s stripes:\n", len(st.Shards), l.tbl.Backend())
 	for i, sh := range st.Shards {
-		fmt.Printf("  stripe %d: backend=%s active_ports=%d acquires=%d wakes/op=%.2f\n",
-			i, sh.Backend, sh.ActivePorts, sh.Acquires, sh.WakesPerOp())
+		fmt.Printf("  stripe %d: acquires=%d wakes/op=%.2f\n", i, sh.Acquires, sh.WakesPerOp())
 	}
 	fmt.Printf("%d budget audits during the storm: %d degraded reads, %d deadline sheds counted by the table\n",
 		audits.Load(), degradedReads.Load(), st.Total().Timeouts)
@@ -257,9 +244,9 @@ func main() {
 	// degrades to its published balance; every other account still reads
 	// exactly, and the total is unchanged because the degraded copies are
 	// current.
-	l.tbl.LockString(accountName(0))
+	l.tbl.Lock(accountKey[0])
 	shedTotal, degraded := l.auditTotal()
-	l.tbl.UnlockString(accountName(0))
+	l.tbl.Unlock(accountKey[0])
 	fmt.Printf("audit with %s held: %d degraded read(s), total still %d\n",
 		accountName(0), degraded, shedTotal)
 	if degraded == 0 || shedTotal != total {

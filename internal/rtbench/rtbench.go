@@ -34,15 +34,11 @@
 // claims. All three cells are crash-free and inside the zero-allocation
 // gate.
 //
-// The self-managing table has its own cell, keyed_adaptive
-// (BENCH_keyed_adaptive.json): a skewed workload on an arena that starts
-// with the wrong (flat) shape for its port count, under an aggressive
-// WithSupervisor policy. The supervisor migrates the hot stripes during
-// an extended warm-up and the measured pass prices the supervised steady
-// state — adaptive pools, migration judgments, and sweep ticks all live.
-// Crash-free and inside the zero-allocation gate, so a supervisor whose
-// steady-state tick allocates (or whose policy flaps, reconstructing
-// backends mid-measurement) fails CI.
+// The supervised table has its own cell, keyed_supervised
+// (BENCH_keyed_supervised.json): a skewed workload on a table whose
+// WithSupervisor orphan sweep ticks every 200µs throughout the measured
+// pass. Crash-free and inside the zero-allocation gate, so a supervisor
+// whose steady-state tick allocates fails CI.
 //
 // The system-wide crash tier (BENCH_syscrash.json) prices the whole-table
 // failure model: keyed_syscrash and keyed_syscrash_1m each measure full
@@ -123,22 +119,16 @@ type Scenario struct {
 	// based); the workers recover with the reclaim-and-retry supervisor
 	// pattern. Keyed scenarios only.
 	CrashEvery uint64
-	// Supervised attaches a WithSupervisor self-management loop with
-	// deliberately aggressive thresholds (sub-millisecond ticks, adaptive
-	// pools, migration at low wake levels), so the adaptive machinery
-	// actually fires inside a benchmark-sized run. The warm-up is extended
-	// until the supervisor's shape policy stops migrating, so the measured
-	// pass prices the settled steady state — supervisor ticking included —
-	// and migration's backend constructions land outside the allocation
-	// window. Keyed scenarios only.
+	// Supervised attaches a WithSupervisor orphan-sweep loop ticking every
+	// 200µs, so a benchmark-sized run spans hundreds of ticks and the
+	// measured pass prices passages with the supervisor live. Keyed
+	// scenarios only.
 	Supervised bool
-	// SkipUnpooled drops the pool=false cells: without the node pool,
-	// allocs/op is a function of which lock shapes the passages ran on,
-	// and for a supervised scenario the shape mix is the policy's
-	// schedule-dependent choice — not a stable machine-independent
-	// invariant a gate can pin (the same reason keyed_crash's file stays
-	// out of the gate entirely). The pool=true cell, where every shape's
-	// warm passage is allocation-free, is the committed claim.
+	// SkipUnpooled drops the pool=false cells. Without the node pool a
+	// flat or tree passage allocates its queue nodes, so an unpooled cell
+	// cannot show whether some other layer (a supervisor tick, say)
+	// started allocating; the pool=true cell, where the warm passage is
+	// allocation-free, is the committed claim.
 	SkipUnpooled bool
 	// AbortEvery, when non-zero, drives the table through LockContext and
 	// sheds every AbortEvery-th passage with a pre-expired deadline (the
@@ -374,21 +364,12 @@ func Scenarios() []Scenario {
 			SkipStrategies: []string{"spinpark"},
 		},
 		{
-			// The self-managing table cell (BENCH_keyed_adaptive.json): a
-			// deliberately skewed zipf workload on a 4-stripe × 48-port
-			// arena that starts on flat shards — the wrong shape for a
-			// 48-port hot stripe — under a supervisor aggressive enough to
-			// notice and migrate within the warm-up. The measured pass then
-			// prices the supervised steady state: traffic on the migrated
-			// shapes with the supervisor still ticking (sweeps, pool
-			// resizes, migration judgments) in the background, which is the
-			// configuration the self-management feature ships in. Crash-free
-			// and inside the zero-allocation gate: a supervisor tick that
-			// starts allocating, or a policy that keeps migrating at steady
-			// state (each swap constructs a backend), fails the gate.
-			// MigrationsPerOp in the sample records the lifetime migration
-			// count — proof the adaptive path ran, not just priced.
-			Name: "keyed_adaptive", File: "keyed_adaptive", Keyed: true, Zipf: true, Supervised: true,
+			// The supervised table cell (BENCH_keyed_supervised.json): a
+			// skewed zipf workload on a 4-stripe × 48-port flat arena with
+			// the reclaim-only supervisor ticking every 200µs in the
+			// background. Crash-free and inside the zero-allocation gate: a
+			// supervisor tick that starts allocating fails the gate.
+			Name: "keyed_supervised", File: "keyed_supervised", Keyed: true, Zipf: true, Supervised: true,
 			Ports:  func() int { return 16 },
 			Iters:  40_000,
 			Keys:   4096,
@@ -396,10 +377,9 @@ func Scenarios() []Scenario {
 			Backend:      rme.FlatBackend,
 			SkipUnpooled: true,
 			// Yield cells only: spin-then-park's parked handoffs run this
-			// workload an order of magnitude slower, which starves the
-			// migration policy's per-tick minimum-sample gate — the cell
-			// would record a supervised table whose policy never has enough
-			// evidence to act, which is not the claim this file pins.
+			// 16-worker workload an order of magnitude slower, and the
+			// claim this file pins — a ticking supervisor adds no
+			// allocation — does not depend on the wait strategy.
 			SkipStrategies: []string{"spinpark"},
 		},
 		{
@@ -575,16 +555,9 @@ type Sample struct {
 	CheckpointBytes    int     `json:"checkpoint_bytes,omitempty"`
 	AllocExempt        bool    `json:"alloc_exempt,omitempty"`
 
-	// Supervised runs only: MigrationsPerOp is the supervisor's lifetime
-	// stripe-shape migration count normalized by the measured passage
-	// count. Lifetime rather than a measured-window delta on purpose: the
-	// warm-up deliberately absorbs the migrations (see
-	// Scenario.Supervised), so a window delta would read 0.0 in a healthy
-	// run and hide whether the adaptive machinery fired at all. A healthy
-	// cell shows a small non-zero value; 0.0 means the policy never
-	// migrated.
-	Supervised      bool    `json:"supervised,omitempty"`
-	MigrationsPerOp float64 `json:"migrations_per_op,omitempty"`
+	// Supervised marks a cell measured with the table's supervisor
+	// ticking (Scenario.Supervised).
+	Supervised bool `json:"supervised,omitempty"`
 
 	// TableStats is the keyed table's full post-run observability
 	// snapshot, captured only when CollectStats is set (rmebench's -stats
@@ -991,21 +964,10 @@ func Run(sc Scenario, strategy string, pool bool) Sample {
 			opts = append(opts, rme.WithAsyncPrewarm(ports))
 		}
 		if sc.Supervised {
-			// Aggressive on purpose: benchmark cells live milliseconds, so
-			// the policy must observe, decide, and migrate within the
-			// warm-up. HotWakesPerOp sits far below a contended stripe's
-			// wakes-per-acquire (~1 under yield handoff) and far above an
-			// idle one's, so the judgment is stable once shapes settle.
+			// A sub-millisecond tick so a benchmark-sized run spans
+			// hundreds of sweeps.
 			opts = append(opts, rme.WithSupervisor(rme.SupervisorConfig{
-				Interval:        200 * time.Microsecond,
-				MaxHealsPerTick: 4,
-				AdaptivePorts:   true,
-				MinPorts:        4,
-				Migrate:         true,
-				HotWakesPerOp:   0.05,
-				ColdWakesPerOp:  0.005,
-				HysteresisTicks: 2,
-				QuiesceTimeout:  100 * time.Millisecond,
+				Interval: 200 * time.Microsecond,
 			}))
 		}
 		tbl = rme.NewLockTable(sc.Shards, sc.ShardPorts, opts...)
@@ -1022,23 +984,6 @@ func Run(sc Scenario, strategy string, pool bool) Sample {
 		runKeyed(tbl, sc, warm, false)
 	} else {
 		runPassages(lk, ports, warm)
-	}
-	if tbl != nil && sc.Supervised {
-		// Let the supervisor's shape policy settle before measuring: keep
-		// running warm-sized chunks until one passes with no migration (or
-		// the bound runs out), so each swap's backend construction is
-		// allocated outside the measured window and the measured pass
-		// prices the settled shapes. Hysteresis makes this converge fast —
-		// a stationary workload stops migrating after the first flips.
-		prev := tbl.Stats().Supervisor.Migrations()
-		for i := 0; i < 8; i++ {
-			runKeyed(tbl, sc, warm, false)
-			cur := tbl.Stats().Supervisor.Migrations()
-			if cur == prev {
-				break
-			}
-			prev = cur
-		}
 	}
 	stats.Reset()
 	if tm != nil {
@@ -1104,10 +1049,7 @@ func Run(sc Scenario, strategy string, pool bool) Sample {
 		}
 		s.AllocExempt = sc.AllocExempt
 		full := tbl.Stats()
-		if sc.Supervised {
-			s.Supervised = true
-			s.MigrationsPerOp = float64(full.Supervisor.Migrations()) / total
-		}
+		s.Supervised = sc.Supervised
 		if CollectStats {
 			s.TableStats = &full
 		}

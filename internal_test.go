@@ -261,7 +261,7 @@ func TestShardStrategyHook(t *testing.T) {
 		}))
 	want := []string{"yield", "spin", "yield"}
 	for i := range tbl.shards {
-		if got := tbl.shards[i].m().(*Mutex).strat.String(); got != want[i] {
+		if got := tbl.shards[i].lk.(*Mutex).strat.String(); got != want[i] {
 			t.Errorf("shard %d lock strategy = %s, want %s", i, got, want[i])
 		}
 		if got := tbl.shards[i].pool.strat.String(); got != want[i] {
@@ -279,7 +279,7 @@ func TestShardStrategyHook(t *testing.T) {
 		}))
 	wantTree := []string{"spinpark", "yield"}
 	for i := range tree.shards {
-		tm := tree.shards[i].m().(*TreeMutex)
+		tm := tree.shards[i].lk.(*TreeMutex)
 		for l, level := range tm.nodes {
 			for g, node := range level {
 				if got := node.strat.String(); got != wantTree[i] {

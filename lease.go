@@ -90,11 +90,6 @@ type PortLease struct {
 // replacement can't pick up from the word.
 type PortLeaser struct {
 	words []paddedUint64
-	// active bounds which ports TryAcquire hands out: only ports below it
-	// are offered to new tenancies. It starts at the full capacity and is
-	// moved by Resize (and the LockTable's adaptive-pool policy); see
-	// Resize for why moving it never weakens the fencing invariants.
-	active atomic.Int64
 	// clock rotates the scan start so independent acquirers don't all
 	// hammer port 0's word.
 	clock atomic.Uint64
@@ -117,19 +112,14 @@ func NewPortLeaser(ports int, opts ...Option) *PortLeaser {
 	}
 	cfg := buildConfig(opts)
 	p := &PortLeaser{words: make([]paddedUint64, ports), strat: cfg.strat}
-	p.active.Store(int64(ports))
 	p.freeCond = p.anyFree
 	return p
 }
 
-// anyFree reports whether some active port is currently free — the wake-up
+// anyFree reports whether some port is currently free — the wake-up
 // condition blocked acquirers re-check against the register/release race.
-// Ports above the active bound are invisible here: a free deactivated port
-// is not an acquisition opportunity, so waking a parked acquirer for it
-// would be spurious.
 func (p *PortLeaser) anyFree() bool {
-	n := int(p.active.Load())
-	for i := 0; i < n && i < len(p.words); i++ {
+	for i := range p.words {
 		if p.words[i].Load()&leaseStateMask == leaseFree {
 			return true
 		}
@@ -137,81 +127,16 @@ func (p *PortLeaser) anyFree() bool {
 	return false
 }
 
-// Ports returns the number of identities the leaser manages — its
-// capacity, fixed at construction. The number currently offered to new
-// tenancies is Active(), which Resize moves within [1, Ports()].
+// Ports returns the number of identities the leaser manages, fixed at
+// construction.
 func (p *PortLeaser) Ports() int { return len(p.words) }
 
-// Active returns the current active-port bound: how many of the leaser's
-// ports new acquisitions are drawn from. Always in [1, Ports()].
-func (p *PortLeaser) Active() int { return int(p.active.Load()) }
-
-// Resize moves the active-port bound to n (clamped to [1, Ports()]) and
-// returns the bound actually set. Growing immediately re-offers the
-// reactivated ports (parked acquirers are woken to rescan); shrinking is
-// lazy — ports at or above the new bound simply stop being handed out,
-// while tenancies already on them run to their natural end (Release,
-// orphan recovery, abort fix-up all work on any port of the capacity,
-// active or not).
-//
-// Resizing preserves the lease fencing and orphan invariants, and the
-// argument is worth stating because the adaptive table leans on it:
-// Resize touches only the scan bound, never the ownership words. A port's
-// epoch sequence therefore continues across any number of
-// deactivations — a lease granted before a shrink still fails its CAS
-// against any later tenancy of the port (stale hand-backs stay loud), and
-// a port reactivated later resumes from its last epoch, not from zero, so
-// no stale lease can ever alias a fresh one. Likewise every sweep
-// (claimOrphans, InUse, State) scans the full capacity regardless of the
-// bound, so a shrink can never hide an orphan from recovery: a dead
-// tenancy on a deactivated port is claimed, healed, and freed exactly as
-// if the bound had never moved.
-func (p *PortLeaser) Resize(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if c := len(p.words); n > c {
-		n = c
-	}
-	old := p.active.Swap(int64(n))
-	if int64(n) > old {
-		// Reactivated ports may already be free; parked acquirers must
-		// rescan under the wider bound or they would sleep through them.
-		p.chain.Broadcast()
-	}
-	return n
-}
-
-// grow raises the active bound by up to k ports (bounded by capacity),
-// returning how many were added — the lock-free step the LockTable's
-// work-stealing fallback uses from the acquire path. The caller that grew
-// consumes the headroom itself, so no broadcast is needed here.
-func (p *PortLeaser) grow(k int) int {
-	for {
-		a := p.active.Load()
-		c := int64(len(p.words))
-		if a >= c {
-			return 0
-		}
-		n := a + int64(k)
-		if n > c {
-			n = c
-		}
-		if p.active.CompareAndSwap(a, n) {
-			return int(n - a)
-		}
-	}
-}
-
-// TryAcquire claims a free port from the active set, bumping its epoch,
-// and returns its lease. It fails (ok == false) only when no active port
-// is currently free — orphaned ports do not count as free until a recovery
-// sweep reclaims them, and ports above the Resize bound are not offered.
+// TryAcquire claims a free port, bumping its epoch, and returns its
+// lease. It fails (ok == false) only when no port is currently free —
+// orphaned ports do not count as free until a recovery sweep reclaims
+// them.
 func (p *PortLeaser) TryAcquire() (l PortLease, ok bool) {
-	n := int(p.active.Load())
-	if n > len(p.words) {
-		n = len(p.words)
-	}
+	n := len(p.words)
 	// Reduce before converting: on 32-bit targets a truncated int(clock)
 	// can be negative, and Go's % would keep the sign.
 	start := int(p.clock.Add(1) % uint64(n))

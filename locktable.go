@@ -63,7 +63,9 @@ import (
 // zero-allocation warm passages, async and batch acquisition — is
 // backend-independent: all shapes satisfy the same portLock surface and
 // the same crash-recovery story, and the test suite proves the invariants
-// against each.
+// against each. The zero-allocation claim needs WithNodePool(true) on the
+// flat and tree shapes, whose passages otherwise allocate queue nodes;
+// MCS passages allocate nothing either way.
 //
 // A LockTable must be created with NewLockTable. All methods are safe for
 // concurrent use; the per-key contract is the usual one (Unlock a key only
@@ -74,13 +76,12 @@ type LockTable struct {
 	ports   int
 	backend ShardBackend // resolved to a concrete shape, never Auto
 
-	// strat configures the stripes' lease and gate waits; exec is the
-	// shared dispatcher runtime the async tier runs on — a bounded pool
-	// of workers multiplexed over every stripe's delivery work (see
-	// dispatch.go; WithDispatcherPool sizes it, WithDispatcherSpin sizes
-	// each worker's spin window before an idle park).
-	strat wait.Strategy
-	exec  executor
+	// exec is the shared dispatcher runtime the async tier runs on — a
+	// bounded pool of workers multiplexed over every stripe's delivery
+	// work (see dispatch.go; WithDispatcherPool sizes it,
+	// WithDispatcherSpin sizes each worker's spin window before an idle
+	// park).
+	exec executor
 
 	// freeMu guards the recycled Batch free list (request nodes recycle
 	// through per-shard lists — see lockShard — so the async hot path
@@ -96,20 +97,9 @@ type LockTable struct {
 	// exists to prevent, reproducible on demand by the regression tests.
 	noAbortFixup atomic.Bool
 
-	// Self-management state (see supervisor.go). sup is the background
-	// supervisor, nil unless WithSupervisor was given; migMu serializes
-	// stripe-shape migrations (and SetCrashFunc, so an installed hook can
-	// never be lost across a backend swap); slack is the table-wide pool of
-	// port quota freed by shrunk stripes, spent by grows and steals;
-	// adaptive/minPorts mirror the supervisor's pool policy knobs onto the
-	// acquire path (the work-stealing fallback); supc is the always-present
-	// SupervisorStats counter block.
-	sup      *supervisor
-	migMu    sync.Mutex
-	slack    atomic.Int64
-	adaptive bool
-	minPorts int
-	supc     supCounters
+	// sup is the background orphan-sweep loop (see supervisor.go), nil
+	// unless WithSupervisor was given.
+	sup *supervisor
 }
 
 // portLock is the contract a shard's lock backend satisfies: a k-ported
@@ -139,19 +129,12 @@ type portLock interface {
 	// without queuing — the racy fast-reject probe TryLock uses to keep
 	// ordinary misses free of protocol state.
 	freeHint(port int) bool
-	// quiesceExport is the stripe-migration hook: it verifies the lock is
-	// fully idle — no passage in flight on any port, every queue and
-	// descriptor retired — and exports the installed crash-injection hook
-	// so a replacement backend can inherit it. A false report means some
-	// port still carries protocol state and a swap would corrupt it; the
-	// migration barrier only calls this after draining the stripe's lease
-	// pool, so false is a bail-out signal, not an expected answer.
-	quiesceExport() (CrashFunc, bool)
 }
 
 var (
 	_ portLock = (*Mutex)(nil)
 	_ portLock = (*TreeMutex)(nil)
+	_ portLock = (*MCSMutex)(nil)
 )
 
 // ShardBackend names the lock shape a LockTable's shards are built from;
@@ -238,31 +221,10 @@ func (b ShardBackend) resolve(ports int) ShardBackend {
 // MCS — see portLock), the lease pool multiplexing workers onto its ports,
 // and the key each leased port is currently locking.
 type lockShard struct {
-	// lk holds the stripe's lock behind an atomic pointer so the
-	// supervisor can swap the backend live (see LockTable.migrateShard).
-	// Everything that touches the lock loads it through m(); the swap
-	// protocol guarantees the pointer never moves while any tenancy of the
-	// stripe is in flight, so a tenancy may re-load it freely — every load
-	// between its lease acquisition and release returns the same backend.
-	lk      atomic.Pointer[portLock]
-	backend atomic.Int32 // the ShardBackend lk currently holds
-	// mk rebuilds the stripe's lock in a given shape with the construction
-	// -time options (same instrumented strategy, same stats block), so a
-	// migration's replacement backend reports into the same counters.
-	mk func(ShardBackend) portLock
-	// strat is the stripe's effective (instrumented) wait strategy — the
-	// one gate and lease waits park under.
-	strat wait.Strategy
-	// gateClosed + gate are the stripe's migration barrier: while closed,
-	// new tenancies park on the gate chain instead of taking leases, so
-	// the stripe drains to quiescence and the backend can be swapped.
-	// gateOpen/leaseCond are the wait conditions, bound once so the gated
-	// slow path does not allocate.
-	gateClosed atomic.Bool
-	gate       wait.Chain
-	gateOpen   func() bool
-	leaseCond  func() bool
-	pool       *PortLeaser
+	// lk is the stripe's lock, in the table's shape, fixed at
+	// construction.
+	lk   portLock
+	pool *PortLeaser
 	// key[p] is the key port p's current tenancy is about: stored between
 	// lease acquisition and the port's Lock, read by Held/Unlock scans.
 	// Only meaningful while the port's lease is not free.
@@ -292,10 +254,6 @@ type lockShard struct {
 	reqFree *asyncReq
 }
 
-// m returns the stripe's current lock backend. Safe to call at any time;
-// see the lk field for why a tenancy can re-load it between protocol steps.
-func (sh *lockShard) m() portLock { return *sh.lk.Load() }
-
 // tableSeedClock differentiates the default seeds of successive tables.
 var tableSeedClock atomic.Uint64
 
@@ -324,7 +282,7 @@ func NewLockTable(shards, ports int, opts ...Option) *LockTable {
 		seed = xrand.Mix64(tableSeedClock.Add(1) * 0x9e3779b97f4a7c15)
 	}
 	backend := cfg.backend.resolve(ports)
-	t := newTableArena(shards, ports, seed, backend, cfg, opts, nil)
+	t := newTableArena(shards, ports, seed, backend, cfg, opts)
 	t.finishInit(cfg, false)
 	return t
 }
@@ -334,17 +292,13 @@ func NewLockTable(shards, ports int, opts ...Option) *LockTable {
 // machinery (no supervisor, no dispatchers). NewLockTable and RestoreTable
 // share it: the restore path needs the arena fully built but still inert
 // so it can adopt the checkpointed lease words and critical sections
-// single-threaded, before finishInit makes the table live. stripeBackend,
-// when non-nil, overrides the table-wide backend per stripe (a restored
-// arena reproduces whatever shapes the supervisor had migrated stripes to
-// by checkpoint time).
-func newTableArena(shards, ports int, seed uint64, backend ShardBackend, cfg config, opts []Option, stripeBackend []ShardBackend) *LockTable {
+// single-threaded, before finishInit makes the table live.
+func newTableArena(shards, ports int, seed uint64, backend ShardBackend, cfg config, opts []Option) *LockTable {
 	t := &LockTable{
 		shards:  make([]lockShard, shards),
 		seed:    seed,
 		ports:   ports,
 		backend: backend,
-		strat:   cfg.strat,
 	}
 	t.exec.init(t, cfg.dispatcherPool(), cfg.dispSpin)
 	for i := range t.shards {
@@ -365,32 +319,18 @@ func newTableArena(shards, ports int, seed uint64, backend ShardBackend, cfg con
 		// wins over a table-wide WithWaitStrategy.
 		shOpts := append(append(make([]Option, 0, len(opts)+1), opts...),
 			WithWaitStrategy(wait.Instrumented(eff, stats)))
-		instrumented := wait.Instrumented(eff, stats)
-		mk := func(b ShardBackend) portLock {
-			switch b {
-			case TreeBackend:
-				return NewTree(ports, shOpts...)
-			case MCSBackend:
-				return NewMCS(ports, shOpts...)
-			default:
-				return New(ports, shOpts...)
-			}
-		}
 		sh := &t.shards[i]
-		sh.mk = mk
-		sh.strat = instrumented
+		switch backend {
+		case TreeBackend:
+			sh.lk = NewTree(ports, shOpts...)
+		case MCSBackend:
+			sh.lk = NewMCS(ports, shOpts...)
+		default:
+			sh.lk = New(ports, shOpts...)
+		}
 		sh.pool = NewPortLeaser(ports, shOpts...)
 		sh.key = make([]atomic.Uint64, ports)
 		sh.stats = stats
-		b := backend
-		if stripeBackend != nil {
-			b = stripeBackend[i]
-		}
-		m := mk(b)
-		sh.lk.Store(&m)
-		sh.backend.Store(int32(b))
-		sh.gateOpen = func() bool { return !sh.gateClosed.Load() }
-		sh.leaseCond = func() bool { return sh.pool.anyFree() || sh.gateClosed.Load() }
 	}
 	return t
 }
@@ -461,17 +401,6 @@ type ShardStats struct {
 	// InboxDepth and the lease-pool gauges overlap rather than leaving a
 	// window — the invariant Quiesced's reasoning rests on.
 	InboxDepth int
-	// Backend is the lock shape currently behind the stripe — under a
-	// supervisor with migration enabled, stripes diverge from the
-	// construction-time choice, and this is where the divergence shows.
-	// Zero-valued (AutoBackend) in a Total() aggregate, where a single
-	// shape is meaningless.
-	Backend ShardBackend
-	// ActivePorts is the stripe's current lease-pool bound (see
-	// PortLeaser.Resize): how many of its capacity ports new tenancies are
-	// drawn from. Equal to the construction port count unless the adaptive
-	// pool policy has resized the stripe.
-	ActivePorts int
 }
 
 // WakesPerOp returns the stripe's wake count per completed acquisition —
@@ -486,9 +415,8 @@ func (s ShardStats) WakesPerOp() float64 {
 
 // TableStats is the table-wide observability snapshot: one ShardStats per
 // stripe, in shard order, plus the supervisor's own counters (all zero on
-// a table without WithSupervisor, except Steals which the work-stealing
-// fallback can also drive) and the shared dispatcher runtime's pool
-// gauges.
+// a table without WithSupervisor) and the shared dispatcher runtime's
+// pool gauges.
 type TableStats struct {
 	Shards     []ShardStats
 	Supervisor SupervisorStats
@@ -509,7 +437,6 @@ func (ts TableStats) Total() ShardStats {
 		sum.Timeouts += s.Timeouts
 		sum.Orphans += s.Orphans
 		sum.InboxDepth += s.InboxDepth
-		sum.ActivePorts += s.ActivePorts
 	}
 	return sum
 }
@@ -545,10 +472,8 @@ func (t *LockTable) Stats() TableStats {
 			}
 		}
 		s.InboxDepth = int(sh.disp.depth.Load())
-		s.Backend = ShardBackend(sh.backend.Load())
-		s.ActivePorts = sh.pool.Active()
 	}
-	ts.Supervisor = t.supc.snapshot()
+	ts.Supervisor = t.supervisorStats()
 	ts.Dispatcher = t.exec.stats()
 	return ts
 }
@@ -582,16 +507,16 @@ func (t *LockTable) shardOf(key uint64) *lockShard {
 	return &t.shards[t.ShardIndex(key)]
 }
 
-// hashString folds a string key to 64 bits (FNV-1a); the result feeds the
-// same seeded shard mixer as native uint64 keys, so every *String method
-// is exactly its uint64 twin applied to this digest. Two consequences
-// worth stating explicitly: a full 64-bit collision between two strings
-// aliases them to one key (they then share not just a stripe but Held
-// identity — coarser exclusion, never unsound), and the same-stripe
-// self-deadlock rule documented on ShardIndex and Do applies to string
-// keys through their digests — "different strings" is no defense, only
-// different ShardIndex values are.
-func hashString(s string) uint64 {
+// StringKey folds a string to a 64-bit table key (FNV-1a), so every keyed
+// entry point takes a string as tbl.Lock(rme.StringKey("accounts/alice")).
+// The digest feeds the same seeded shard mixer as native uint64 keys. Two
+// consequences worth stating explicitly: a full 64-bit collision between
+// two strings aliases them to one key (they then share not just a stripe
+// but Held identity — coarser exclusion, never unsound), and the
+// same-stripe self-deadlock rule documented on ShardIndex and Do applies
+// to string keys through their digests — "different strings" is no
+// defense, only different ShardIndex values are.
+func StringKey(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -603,7 +528,8 @@ func hashString(s string) uint64 {
 // Lock acquires the lock for key, waiting while the key's stripe is held
 // (for this or any aliased key) and while all of the stripe's ports are
 // leased. Crash-free calls allocate nothing once the shard's node pools
-// are warm.
+// are warm — on flat and tree shards only with WithNodePool(true), on MCS
+// shards always.
 //
 // Do not call Lock while already holding another key of this table unless
 // the acquisitions are ordered by ShardIndex with at most one key per
@@ -611,107 +537,23 @@ func hashString(s string) uint64 {
 // against itself (see the striping notes on LockTable).
 func (t *LockTable) Lock(key uint64) {
 	sh := t.shardOf(key)
-	l := t.acquireLease(sh)
+	l := sh.pool.Acquire()
 	sh.key[l.Port].Store(key)
 	sh.lockPort(l)
 }
-
-// acquireLease is the table's gated lease acquisition: every tenancy
-// start — sync, async dispatcher, batch walk — comes through here rather
-// than PortLeaser.Acquire, because two table-level concerns wrap the
-// pool's own wait. First the migration gate: while the stripe's barrier
-// is closed, entrants park on the gate chain instead of taking leases, so
-// the stripe drains and the backend can be swapped (see migrateShard).
-// Second the work-stealing fallback: a stripe that exhausts its active
-// ports under skew grows itself out of the table's slack quota instead of
-// parking, when the adaptive-pool policy is on.
-func (t *LockTable) acquireLease(sh *lockShard) PortLease {
-	l, _ := t.acquireLeaseDone(sh, nil)
-	return l
-}
-
-// acquireLeaseDone is acquireLease with a cancellation channel (nil =
-// wait forever); ok is false only if done closed first.
-func (t *LockTable) acquireLeaseDone(sh *lockShard, done <-chan struct{}) (PortLease, bool) {
-	for {
-		if sh.gateClosed.Load() {
-			if done == nil {
-				sh.gate.Wait(sh.strat, sh.gateOpen)
-			} else if !sh.gate.WaitDone(sh.strat, sh.gateOpen, done) {
-				return PortLease{}, false
-			}
-			continue
-		}
-		if l, ok := sh.pool.TryAcquire(); ok {
-			// Post-acquire gate re-check, the barrier's closing half of the
-			// Dekker handshake: this CAS (seq-cst) precedes this load, and
-			// the migration waiter stores gateClosed before scanning the
-			// lease words — so if the gate was already closed when we
-			// acquired, either this load sees it (we hand the port back and
-			// park) or our CAS landed before the waiter's scan and the
-			// barrier waits for this tenancy. Either way no tenancy can
-			// straddle the backend swap.
-			if sh.gateClosed.Load() {
-				sh.pool.Release(l)
-				continue
-			}
-			return l, true
-		}
-		if t.steal(sh) {
-			continue
-		}
-		if done == nil {
-			sh.pool.chain.Wait(sh.strat, sh.leaseCond)
-		} else if !sh.pool.chain.WaitDone(sh.strat, sh.leaseCond, done) {
-			return PortLease{}, false
-		}
-	}
-}
-
-// steal is the adaptive pool's work-stealing fallback: an acquirer that
-// found every active port of its stripe leased takes one unit of the
-// table's slack quota (banked by stripes the supervisor shrank) and
-// raises its own stripe's active bound with it, bounded by the stripe's
-// capacity. It reports whether a port was gained (the caller retries its
-// TryAcquire immediately). With the adaptive policy off — or no slack
-// banked — it does nothing and the acquirer parks as before.
-func (t *LockTable) steal(sh *lockShard) bool {
-	if !t.adaptive {
-		return false
-	}
-	for {
-		s := t.slack.Load()
-		if s <= 0 {
-			return false
-		}
-		if t.slack.CompareAndSwap(s, s-1) {
-			break
-		}
-	}
-	if sh.pool.grow(1) == 0 {
-		// The stripe was already at capacity; return the quota.
-		t.slack.Add(1)
-		return false
-	}
-	t.supc.steals.Add(1)
-	return true
-}
-
-// LockString is Lock for a string key.
-func (t *LockTable) LockString(key string) { t.Lock(hashString(key)) }
 
 // lockPort runs the port's recoverable Lock under the orphan-on-crash
 // guard (named methods so the defers are open-coded: the crash-free keyed
 // passage must not allocate).
 func (sh *lockShard) lockPort(l PortLease) {
 	defer sh.pool.orphanGuard(l)
-	sh.m().Lock(l.Port)
+	sh.lk.Lock(l.Port)
 	sh.acquires.Add(1)
 }
 
 func (sh *lockShard) unlockPort(l PortLease) {
 	defer sh.pool.orphanGuard(l)
-	sh.m().Unlock(l.Port)
+	sh.lk.Unlock(l.Port)
 }
 
 // closedChan is the pre-closed cancellation channel TryLock hands to
@@ -737,21 +579,12 @@ var closedChan = func() chan struct{} {
 // background); the miss report is unaffected.
 func (t *LockTable) TryLock(key uint64) bool {
 	sh := t.shardOf(key)
-	if sh.gateClosed.Load() {
-		return false // stripe mid-migration: a try-lock declines, not parks
-	}
 	l, ok := sh.pool.TryAcquire()
 	if !ok {
 		return false
 	}
-	if sh.gateClosed.Load() {
-		// The migration barrier closed between the probe and the CAS (the
-		// same Dekker re-check as acquireLeaseDone); hand the port back.
-		sh.pool.Release(l)
-		return false
-	}
 	sh.key[l.Port].Store(key)
-	if !sh.m().freeHint(l.Port) {
+	if !sh.lk.freeHint(l.Port) {
 		sh.pool.Release(l)
 		return false
 	}
@@ -761,9 +594,6 @@ func (t *LockTable) TryLock(key uint64) bool {
 	}
 	return true
 }
-
-// TryLockString is TryLock for a string key.
-func (t *LockTable) TryLockString(key string) bool { return t.TryLock(hashString(key)) }
 
 // LockContext acquires the lock for key like Lock, but gives up when ctx
 // is cancelled or its deadline passes, returning ctx's error. A nil return
@@ -780,7 +610,8 @@ func (t *LockTable) TryLockString(key string) bool { return t.TryLock(hashString
 // the lease pool without any Reclaim call. Sheds are counted per stripe in
 // ShardStats.Aborts/Timeouts. Contexts that cannot be cancelled (no
 // deadline, no cancel) take the plain Lock path unchanged; abort-free
-// passages allocate nothing once the shard's pools are warm.
+// passages allocate nothing once the shard's pools are warm, under the
+// same WithNodePool condition as Lock.
 func (t *LockTable) LockContext(ctx context.Context, key uint64) error {
 	sh := t.shardOf(key)
 	if err := ctx.Err(); err != nil {
@@ -792,7 +623,7 @@ func (t *LockTable) LockContext(ctx context.Context, key uint64) error {
 		t.Lock(key)
 		return nil
 	}
-	l, ok := t.acquireLeaseDone(sh, done)
+	l, ok := sh.pool.AcquireDone(done)
 	if !ok {
 		return sh.shed(ctx)
 	}
@@ -804,16 +635,11 @@ func (t *LockTable) LockContext(ctx context.Context, key uint64) error {
 	return nil
 }
 
-// LockContextString is LockContext for a string key.
-func (t *LockTable) LockContextString(ctx context.Context, key string) error {
-	return t.LockContext(ctx, hashString(key))
-}
-
 // lockPortDone runs the port's abortable Lock under the orphan-on-crash
 // guard, bumping the stripe's acquire counter only when the lock was won.
 func (sh *lockShard) lockPortDone(l PortLease, done <-chan struct{}) bool {
 	defer sh.pool.orphanGuard(l)
-	if !sh.m().LockDone(l.Port, done) {
+	if !sh.lk.LockDone(l.Port, done) {
 		return false
 	}
 	sh.acquires.Add(1)
@@ -870,15 +696,24 @@ func (sh *lockShard) abortTenancy(t *LockTable, l PortLease) {
 // reclaimAborted is the abort fix-up: the same recovery loop a reclaim
 // sweep runs on an orphan, applied to the aborting caller's own port.
 func (sh *lockShard) reclaimAborted(l PortLease) {
+	sh.recoverPort(l.Port)
+	sh.pool.finishReclaim(l)
+}
+
+// recoverPort runs port's recovery to completion, absorbing injected
+// crashes: Lock recovers whatever the dead tenancy left (CS re-entry,
+// queue repair, exit completion), Unlock releases; a crash during Unlock
+// is in turn recovered by the next Lock. Reclaim sweeps, supervisor heals
+// and abort fix-ups all run it on a claimed (reclaiming) lease.
+func (sh *lockShard) recoverPort(port int) {
 	for {
-		if crashes(func() { sh.m().Lock(l.Port) }) {
+		if crashes(func() { sh.lk.Lock(port) }) {
 			continue
 		}
-		if !crashes(func() { sh.m().Unlock(l.Port) }) {
-			break
+		if !crashes(func() { sh.lk.Unlock(port) }) {
+			return
 		}
 	}
-	sh.pool.finishReclaim(l)
 }
 
 // holderOf locates the caller's tenancy: the port whose lease is held,
@@ -895,7 +730,7 @@ func (sh *lockShard) holderOf(key uint64) (PortLease, bool) {
 		if w&leaseStateMask != leaseHeld {
 			continue
 		}
-		if sh.m().Held(p) {
+		if sh.lk.Held(p) {
 			return PortLease{Port: p, epoch: w >> leaseEpochShift}, true
 		}
 	}
@@ -915,9 +750,6 @@ func (t *LockTable) Unlock(key uint64) {
 	sh.pool.Release(l)
 }
 
-// UnlockString is Unlock for a string key.
-func (t *LockTable) UnlockString(key string) { t.Unlock(hashString(key)) }
-
 // Held reports whether key's lock is currently held for key itself —
 // including by an orphaned tenancy whose holder died inside the critical
 // section (recovery harnesses ask exactly that). A stripe held for a
@@ -933,15 +765,12 @@ func (t *LockTable) Held(key uint64) bool {
 		if sh.pool.words[p].Load()&leaseStateMask == leaseFree {
 			continue
 		}
-		if sh.m().Held(p) {
+		if sh.lk.Held(p) {
 			return true
 		}
 	}
 	return false
 }
-
-// HeldString is Held for a string key.
-func (t *LockTable) HeldString(key string) bool { return t.Held(hashString(key)) }
 
 // Orphans counts ports whose lessee died and whose recovery has not
 // finished (orphaned or mid-reclaim), across all shards. Zero means no
@@ -979,10 +808,11 @@ func (t *LockTable) InUse() int {
 // pipeline, not just unread inboxes: a request counts as pending from
 // its submission until its delivery holds a lease, so a stripe sitting
 // on the executor's run queue, or a batch a worker has swapped but not
-// yet delivered (it may be parked at a migration gate, holding nothing),
-// keeps the table non-quiescent — the two regressions that motivated the
-// check (the PR 8 inbox-depth fix and TestDispatchQuiescedPendingDelivery),
-// and the condition the migration barrier's drain relies on.
+// yet delivered (queued behind an earlier request of the same batch,
+// holding nothing), keeps the table non-quiescent — the two regressions
+// that motivated the check (TestSupervisorQuiescedInboxDepth and
+// TestDispatchQuiescedPendingDelivery), and the condition Checkpoint's
+// quiescent snapshots rely on.
 //
 // Like all inspection methods it is a racy snapshot; it is exact once
 // submitters have stopped. That exactness needs the reads ordered
@@ -1055,20 +885,9 @@ func (t *LockTable) ReclaimWith(fn func(key uint64, inCS bool)) int {
 			defer wg.Done()
 			sh, port := c.sh, c.l.Port
 			if fn != nil {
-				fn(sh.key[port].Load(), sh.m().Held(port))
+				fn(sh.key[port].Load(), sh.lk.Held(port))
 			}
-			// Run the port's recovery to completion, absorbing injected
-			// crashes: Lock recovers whatever the dead worker left (CS
-			// re-entry, queue repair, exit completion), Unlock releases;
-			// a crash during Unlock is in turn recovered by the next Lock.
-			for {
-				if crashes(func() { sh.m().Lock(port) }) {
-					continue
-				}
-				if !crashes(func() { sh.m().Unlock(port) }) {
-					break
-				}
-			}
+			sh.recoverPort(port)
 			sh.pool.finishReclaim(c.l)
 		}(c)
 	}
@@ -1109,19 +928,12 @@ func (t *LockTable) Do(key uint64, fn func()) {
 	}
 }
 
-// DoString is Do for a string key.
-func (t *LockTable) DoString(key string, fn func()) { t.Do(hashString(key), fn) }
-
 // SetCrashFunc installs (or, with nil, removes) the crash-injection hook
 // on every shard's lock. The hook's port argument is the shard-local
-// port. Serialized against stripe migrations (a backend swap exports the
-// old lock's hook onto its replacement, so an install racing a swap can
-// never be lost).
+// port.
 func (t *LockTable) SetCrashFunc(fn CrashFunc) {
-	t.migMu.Lock()
-	defer t.migMu.Unlock()
 	for i := range t.shards {
-		t.shards[i].m().SetCrashFunc(fn)
+		t.shards[i].lk.SetCrashFunc(fn)
 	}
 }
 

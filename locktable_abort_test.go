@@ -62,10 +62,11 @@ func TestAbortTryLock(t *testing.T) {
 		}
 		tbl.Unlock(k2)
 
-		if !tbl.TryLockString("order:42") {
-			t.Fatal("TryLockString missed a free stripe")
+		if sk := rme.StringKey("order:42"); !tbl.TryLock(sk) {
+			t.Fatal("TryLock of a string key missed a free stripe")
+		} else {
+			tbl.Unlock(sk)
 		}
-		tbl.UnlockString("order:42")
 
 		if got := tbl.Stats().Total(); got.Aborts != 0 || got.Timeouts != 0 {
 			t.Fatalf("TryLock misses were counted as sheds: aborts=%d timeouts=%d",
@@ -122,8 +123,8 @@ func TestAbortLockContextDeadline(t *testing.T) {
 		pollQuiesced(t, tbl) // the aborted waiters self-repair; no Reclaim call
 
 		// The stripe serves new passages afterwards.
-		if err := tbl.LockContextString(ctx3, "k"); err == nil {
-			t.Fatal("pre-expired LockContextString returned nil")
+		if err := tbl.LockContext(ctx3, rme.StringKey("k")); err == nil {
+			t.Fatal("pre-expired LockContext of a string key returned nil")
 		}
 		tbl.Lock(k2)
 		tbl.Unlock(k2)
@@ -431,6 +432,7 @@ func TestAbortStormZipf(t *testing.T) {
 		}
 		tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(71), rme.WithNodePool(true),
 			rme.WithShardBackend(backend))
+		defer tbl.Close()
 		var calls atomic.Uint64
 		var crashCount atomic.Int64
 		tbl.SetCrashFunc(func(port int, point string) bool {

@@ -203,11 +203,6 @@ func (t *LockTable) LockAsync(key uint64) <-chan Grant {
 	return r.ch
 }
 
-// LockAsyncString is LockAsync for a string key.
-func (t *LockTable) LockAsyncString(key string) <-chan Grant {
-	return t.LockAsync(hashString(key))
-}
-
 // closedGrantChan is returned by LockAsyncContext for a request shed before
 // submission: an already-closed channel, so the caller's receive completes
 // immediately with ok == false and the pre-expired path allocates nothing.
@@ -262,11 +257,6 @@ func (t *LockTable) LockAsyncContext(ctx context.Context, key uint64) <-chan Gra
 	cch := r.cch
 	t.submit(sh, r)
 	return cch
-}
-
-// LockAsyncContextString is LockAsyncContext for a string key.
-func (t *LockTable) LockAsyncContextString(ctx context.Context, key string) <-chan Grant {
-	return t.LockAsyncContext(ctx, hashString(key))
 }
 
 // LockAsyncFunc enqueues an acquisition of key and returns immediately;
@@ -384,9 +374,8 @@ func (t *LockTable) Close() {
 	if t.closed.Swap(true) {
 		return
 	}
-	// Join the supervisor first: its loop must not start a migration or a
-	// resize against a table that is winding down, and Close returning means
-	// no supervisor work is still in flight (heal goroutines included).
+	// Join the supervisor first: Close returning means no supervisor work
+	// is still in flight (heal goroutines included).
 	if t.sup != nil {
 		t.sup.join()
 	}
@@ -455,13 +444,7 @@ func (t *LockTable) deliver(sh *lockShard, r *asyncReq) {
 	var l PortLease
 	for {
 		crashed := crashes(func() {
-			// The gated table acquisition, not pool.Acquire directly: a
-			// worker delivering mid-migration parks on the stripe's gate
-			// like any other entrant (it holds deliverMu, which the
-			// migration never takes, so parking here cannot deadlock the
-			// barrier — though it does occupy a pool slot for the drain's
-			// duration; see the liveness note in the file comment).
-			l = t.acquireLease(sh)
+			l = sh.pool.Acquire()
 			sh.key[l.Port].Store(r.key)
 			sh.lockPort(l)
 		})

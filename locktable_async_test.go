@@ -58,8 +58,9 @@ func TestLockAsyncBasic(t *testing.T) {
 		t.Fatal("grant Unlock did not release the key")
 	}
 
-	gs := <-tbl.LockAsyncString("users/alice")
-	if !tbl.HeldString("users/alice") {
+	sk := rme.StringKey("users/alice")
+	gs := <-tbl.LockAsync(sk)
+	if !tbl.Held(sk) {
 		t.Fatal("string grant not held")
 	}
 	gs.Unlock()
@@ -425,11 +426,12 @@ func TestLockBatchBasics(t *testing.T) {
 		prev = s
 	}
 	// A rival on a batched stripe must be excluded until Unlock.
-	entered := make(chan struct{})
+	entered, released := make(chan struct{}), make(chan struct{})
 	go func() {
 		tbl.Lock(keys[0])
 		close(entered)
 		tbl.Unlock(keys[0])
+		close(released)
 	}()
 	select {
 	case <-entered:
@@ -442,6 +444,7 @@ func TestLockBatchBasics(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("rival starved after batch release")
 	}
+	<-released // the rival's Unlock, not just its entry, precedes the probe
 	if !tbl.Quiesced() {
 		t.Fatal("table not quiesced after batch")
 	}
@@ -450,7 +453,11 @@ func TestLockBatchBasics(t *testing.T) {
 func TestLockBatchString(t *testing.T) {
 	tbl := rme.NewLockTable(4, 2, rme.WithTableSeed(2), rme.WithNodePool(true))
 	names := []string{"acct/a", "acct/b", "acct/c"}
-	b := tbl.LockBatchString(names)
+	var keys []uint64
+	for _, n := range names {
+		keys = append(keys, rme.StringKey(n))
+	}
+	b := tbl.LockBatch(keys)
 	// Each stripe's tenancy registers its run's first digest: exactly the
 	// representative keys report Held (the documented batch Held
 	// contract).
@@ -465,11 +472,12 @@ func TestLockBatchString(t *testing.T) {
 	}
 	// Every name's stripe is excluded regardless of which digest is
 	// registered.
-	entered := make(chan struct{})
+	entered, released := make(chan struct{}), make(chan struct{})
 	go func() {
-		tbl.LockString(names[1])
+		tbl.Lock(keys[1])
 		close(entered)
-		tbl.UnlockString(names[1])
+		tbl.Unlock(keys[1])
+		close(released)
 	}()
 	select {
 	case <-entered:
@@ -482,6 +490,7 @@ func TestLockBatchString(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("rival starved after string batch release")
 	}
+	<-released // the rival's Unlock, not just its entry, precedes the probe
 	if !tbl.Quiesced() {
 		t.Fatal("table not quiesced after string batch")
 	}

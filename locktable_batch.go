@@ -87,19 +87,6 @@ func (t *LockTable) LockBatch(keys []uint64) *Batch {
 	return t.lockPrepared(b)
 }
 
-// LockBatchString is LockBatch over string keys, each hashed like every
-// other *String method. The digests land in the batch's own scratch, so
-// the string path stays allocation-free too.
-func (t *LockTable) LockBatchString(keys []string) *Batch {
-	t.checkBatch(len(keys))
-	b := t.getBatch()
-	b.keys = b.keys[:0]
-	for _, s := range keys {
-		b.keys = append(b.keys, hashString(s))
-	}
-	return t.lockPrepared(b)
-}
-
 // LockBatchContext is LockBatch with a cancellation budget: all-or-nothing.
 // It returns the held Batch, or ctx's error with nothing held — if ctx is
 // cancelled or expires mid-walk, every stripe already acquired is released
@@ -176,7 +163,7 @@ func (b *Batch) lockAll() {
 			j++
 		}
 		sh := &b.t.shards[b.shard[i]]
-		l := b.t.acquireLease(sh)
+		l := sh.pool.Acquire()
 		// Register the run's first key as the tenancy's key: Held and
 		// ReclaimWith report a stripe-representative key for batch
 		// tenancies, the same way a striped Lock reports the key it was
@@ -185,7 +172,7 @@ func (b *Batch) lockAll() {
 		// Record before locking: a crash inside Lock must find this
 		// stripe in the held set.
 		b.stripes = append(b.stripes, batchStripe{sh: sh, l: l})
-		sh.m().Lock(l.Port)
+		sh.lk.Lock(l.Port)
 		sh.acquires.Add(1)
 		i = j
 	}
@@ -206,13 +193,13 @@ func (b *Batch) lockAllDone(done <-chan struct{}) *lockShard {
 			j++
 		}
 		sh := &b.t.shards[b.shard[i]]
-		l, ok := b.t.acquireLeaseDone(sh, done)
+		l, ok := sh.pool.AcquireDone(done)
 		if !ok {
 			return sh
 		}
 		sh.key[l.Port].Store(b.keys[i])
 		b.stripes = append(b.stripes, batchStripe{sh: sh, l: l})
-		if !sh.m().LockDone(l.Port, done) {
+		if !sh.lk.LockDone(l.Port, done) {
 			// The aborted stripe repairs itself; drop it from the held set
 			// so neither the crash guard nor the caller's unwind touches
 			// its (now reclaiming) lease.
@@ -253,7 +240,7 @@ func (b *Batch) Unlock() {
 	defer b.orphanUnreleasedOnCrash()
 	for i := range b.stripes {
 		st := &b.stripes[i]
-		st.sh.m().Unlock(st.l.Port)
+		st.sh.lk.Unlock(st.l.Port)
 		st.sh.pool.Release(st.l)
 		b.released = i + 1
 	}

@@ -14,12 +14,11 @@ import (
 	"github.com/rmelib/rme/internal/xrand"
 )
 
-// This file proves the self-managing table: the WithSupervisor background
-// loop (orphan heals with no caller-driven Reclaim anywhere in these
-// tests), the adaptive port-pool policy with its work-stealing fallback,
-// and live stripe-shape migration — including the migration-under-fire
-// referee. None of the supervised tests call Reclaim: healing crash
-// orphans and abandoned grants is exactly the contract under test.
+// This file proves the supervised table: the WithSupervisor background
+// sweep heals orphans with no caller-driven Reclaim anywhere in these
+// tests, and Close joins it. None of the supervised tests call Reclaim:
+// healing crash orphans and abandoned grants is exactly the contract
+// under test.
 
 // waitQuiesced polls until the table drains or the deadline passes,
 // without sweeping — on a supervised table the supervisor must do that.
@@ -175,7 +174,7 @@ func TestSupervisorHealsStormNoManualReclaim(t *testing.T) {
 // TestSupervisorQuiescedInboxDepth pins the Quiesced fix: a submitted but
 // undispatched async request holds no lease, yet the table has not
 // quiesced — the old InUse-only check reported true here, which would let
-// a migration barrier swap under a request about to take a lease.
+// a "quiescent" checkpoint miss a request about to take a lease.
 func TestSupervisorQuiescedInboxDepth(t *testing.T) {
 	tbl := rme.NewLockTable(1, 1, rme.WithTableSeed(5))
 	defer tbl.Close()
@@ -232,322 +231,8 @@ func TestSupervisorCloseJoins(t *testing.T) {
 	tbl.Close() // idempotent
 }
 
-// TestMigrateShapeChain walks one stripe through every shape transition
-// on a quiet table and proves the tenancy surface is unbroken at each
-// step — locks lock, Held answers, stats report the new shape — and that
-// an installed crash hook survives every swap.
-func TestMigrateShapeChain(t *testing.T) {
-	tbl := rme.NewLockTable(2, 4, rme.WithTableSeed(17),
-		rme.WithShardBackend(rme.FlatBackend))
-	defer tbl.Close()
-
-	var hookCalls atomic.Int64
-	tbl.SetCrashFunc(func(port int, point string) bool {
-		hookCalls.Add(1)
-		return false
-	})
-
-	// A key on shard 0, found by probing.
-	var key uint64
-	for k := uint64(0); ; k++ {
-		if tbl.ShardIndex(k) == 0 {
-			key = k
-			break
-		}
-	}
-
-	chain := []rme.ShardBackend{rme.MCSBackend, rme.TreeBackend, rme.FlatBackend, rme.TreeBackend, rme.MCSBackend, rme.FlatBackend}
-	for _, target := range chain {
-		if !tbl.ForceMigrate(0, target, 5*time.Second) {
-			t.Fatalf("migration to %v did not complete on a quiet stripe", target)
-		}
-		if got := tbl.ShardBackendOf(0); got != target {
-			t.Fatalf("backend after migration = %v, want %v", got, target)
-		}
-		if got := tbl.Stats().Shards[0].Backend; got != target {
-			t.Fatalf("Stats backend = %v, want %v", got, target)
-		}
-		before := hookCalls.Load()
-		tbl.Lock(key)
-		if !tbl.Held(key) {
-			t.Fatalf("Held false on %v after migration", target)
-		}
-		tbl.Unlock(key)
-		if hookCalls.Load() == before {
-			t.Fatalf("crash hook silent after migration to %v: the swap dropped it", target)
-		}
-	}
-	if got := tbl.Stats().Supervisor.Migrations(); got != uint64(len(chain)) {
-		t.Errorf("Migrations() = %d, want %d", got, len(chain))
-	}
-	waitQuiesced(t, tbl, 5*time.Second)
-}
-
-// TestMigrateUnderFireReferee is the migration referee: zipf traffic with
-// injected crashes and deadline aborts hammers a supervised table while
-// every stripe is forcibly walked flat→MCS→tree→flat, repeatedly. The
-// referee asserts mutual exclusion throughout, that no grant is lost,
-// and that the table drains to zero orphans with no manual sweep.
-func TestMigrateUnderFireReferee(t *testing.T) {
-	const workers = 16
-	const keys = 1 << 8
-	iters := 400
-	if testing.Short() {
-		iters = 80
-	}
-	tbl := rme.NewLockTable(4, 8, rme.WithTableSeed(29), rme.WithNodePool(true),
-		rme.WithShardBackend(rme.FlatBackend),
-		rme.WithSupervisor(rme.SupervisorConfig{Interval: 500 * time.Microsecond}))
-	defer tbl.Close()
-
-	var calls atomic.Uint64
-	var crashCount atomic.Int64
-	tbl.SetCrashFunc(func(port int, point string) bool {
-		if xrand.Mix64(calls.Add(1))%2503 == 0 {
-			crashCount.Add(1)
-			return true
-		}
-		return false
-	})
-
-	inside := make([]atomic.Int32, keys)
-	enter := func(k uint64) {
-		if inside[k].Add(1) != 1 {
-			t.Errorf("two holders of key %d", k)
-		}
-	}
-	leave := func(k uint64) { inside[k].Add(-1) }
-
-	// The migrator: walk every stripe through the full shape cycle until
-	// the traffic stops. Failed attempts (stripe would not drain in time
-	// under fire) are fine — the stripe keeps its shape and the walk
-	// retries; what the referee demands is that the successes are safe.
-	stopMig := make(chan struct{})
-	var migWG sync.WaitGroup
-	var migrated atomic.Int64
-	migWG.Add(1)
-	go func() {
-		defer migWG.Done()
-		cycle := []rme.ShardBackend{rme.MCSBackend, rme.TreeBackend, rme.FlatBackend}
-		for i := 0; ; i++ {
-			for s := 0; s < tbl.Shards(); s++ {
-				select {
-				case <-stopMig:
-					return
-				default:
-				}
-				if tbl.ForceMigrate(s, cycle[i%len(cycle)], 300*time.Millisecond) {
-					migrated.Add(1)
-				}
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	var granted, sheds atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			z := rand.NewZipf(rand.New(rand.NewSource(int64(w)+11)), 1.2, 1, keys-1)
-			for i := 0; i < iters; i++ {
-				k := z.Uint64()
-				switch i % 3 {
-				case 0:
-					for !absorbCrash(func() {
-						tbl.Lock(k)
-						enter(k)
-						leave(k)
-						tbl.Unlock(k)
-					}) {
-					}
-					granted.Add(1)
-				case 1:
-					ctx, cancel := context.WithTimeout(context.Background(), 200*time.Microsecond)
-					absorbCrash(func() {
-						if err := tbl.LockContext(ctx, k); err != nil {
-							sheds.Add(1)
-							return
-						}
-						enter(k)
-						leave(k)
-						tbl.Unlock(k)
-						granted.Add(1)
-					})
-					cancel()
-				case 2:
-					if g, ok := <-tbl.LockAsync(k); ok {
-						enter(k)
-						leave(k)
-						absorbCrash(g.Unlock)
-						granted.Add(1)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stopMig)
-	migWG.Wait()
-	tbl.SetCrashFunc(nil)
-
-	waitQuiesced(t, tbl, 30*time.Second)
-	if tbl.Orphans() != 0 {
-		t.Errorf("orphans after final drain: %d", tbl.Orphans())
-	}
-	if granted.Load() == 0 {
-		t.Error("referee granted nothing")
-	}
-	if migrated.Load() == 0 {
-		t.Error("no migration completed under fire")
-	}
-	st := tbl.Stats()
-	if st.Supervisor.Migrations() != uint64(migrated.Load()) {
-		t.Errorf("Migrations() = %d, migrator observed %d", st.Supervisor.Migrations(), migrated.Load())
-	}
-	t.Logf("referee: %d grants, %d sheds, %d crashes, %d migrations",
-		granted.Load(), sheds.Load(), crashCount.Load(), migrated.Load())
-}
-
-// TestSupervisorAdaptivePools drives the pool policy end to end: an idle
-// supervised table shrinks its stripes to the floor and banks the quota;
-// skewed load on one stripe then wins its ports back through the
-// grow/steal path, and the table's port quota is conserved throughout.
-func TestSupervisorAdaptivePools(t *testing.T) {
-	const shards = 4
-	const ports = 16
-	tbl := rme.NewLockTable(shards, ports, rme.WithTableSeed(41),
-		rme.WithSupervisor(rme.SupervisorConfig{
-			Interval:      200 * time.Microsecond,
-			AdaptivePorts: true,
-			MinPorts:      2,
-		}))
-	defer tbl.Close()
-
-	// Idle: every stripe should shrink to the floor.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		shrunk := true
-		for s := 0; s < shards; s++ {
-			if tbl.PoolActive(s) > 2 {
-				shrunk = false
-			}
-		}
-		if shrunk {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stripes did not shrink: active = %d %d %d %d, slack = %d",
-				tbl.PoolActive(0), tbl.PoolActive(1), tbl.PoolActive(2), tbl.PoolActive(3),
-				tbl.SlackPorts())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if tbl.SlackPorts() == 0 {
-		t.Error("shrink banked no slack")
-	}
-
-	// Skew: hammer one key with far more workers than the shrunken bound,
-	// holding each passage briefly so the workers genuinely overlap in the
-	// acquire path (on GOMAXPROCS=1 a zero-length critical section lets
-	// each worker complete its whole passage per quantum and the stripe
-	// never exhausts). The stripe must win ports back — steal on
-	// exhaustion, supervisor grow on parked waiters.
-	key := uint64(7)
-	hot := tbl.ShardIndex(key)
-	var wg sync.WaitGroup
-	for w := 0; w < 12; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				tbl.Lock(key)
-				time.Sleep(20 * time.Microsecond)
-				tbl.Unlock(key)
-			}
-		}()
-	}
-	wg.Wait()
-
-	st := tbl.Stats()
-	if st.Supervisor.Shrinks == 0 {
-		t.Error("no shrinks recorded")
-	}
-	if got := tbl.PoolActive(hot); got <= 2 && st.Supervisor.Steals == 0 && st.Supervisor.Grows == 0 {
-		t.Errorf("hot stripe never grew: active=%d, steals=%d, grows=%d",
-			got, st.Supervisor.Steals, st.Supervisor.Grows)
-	}
-	// Quota conservation: active bounds plus banked slack never exceed
-	// the construction arena (racy reads, so allow the sum to be under
-	// while a steal is mid-flight, never over).
-	sum := tbl.SlackPorts()
-	for s := 0; s < shards; s++ {
-		sum += tbl.PoolActive(s)
-	}
-	if sum > shards*ports {
-		t.Errorf("port quota inflated: sum(active)+slack = %d > %d", sum, shards*ports)
-	}
-	waitQuiesced(t, tbl, 10*time.Second)
-}
-
-// TestSupervisorStealFallback isolates the acquire-path steal: a stripe
-// pinned at 1 active port with slack banked must widen itself from the
-// acquire path the moment concurrent holders exhaust it — no supervisor
-// involved.
-func TestSupervisorStealFallback(t *testing.T) {
-	tbl := rme.NewLockTable(1, 8, rme.WithTableSeed(3))
-	defer tbl.Close()
-	tbl.PoolResize(0, 1)
-	tbl.SetAdaptive(true, 7)
-
-	const holders = 4
-	var wg sync.WaitGroup
-	held := make(chan uint64, holders)
-	release := make(chan struct{})
-	for w := 0; w < holders; w++ {
-		wg.Add(1)
-		go func(k uint64) {
-			defer wg.Done()
-			tbl.Lock(k)
-			held <- k
-			<-release
-			tbl.Unlock(k)
-		}(uint64(100 + w*64)) // distinct keys, same (only) stripe
-	}
-	// All four must end up holding leases concurrently: only steals can
-	// widen the 1-port bound. (They hold distinct keys of one stripe, so
-	// only one holds the lock — the rest are queued on ports, which is
-	// what needs the width.)
-	got := 0
-	deadline := time.After(10 * time.Second)
-	for got < 1 { // at least the first passes even without steal
-		select {
-		case <-held:
-			got++
-		case <-deadline:
-			t.Fatalf("no holder after 10s; active=%d", tbl.PoolActive(0))
-		}
-	}
-	// The remaining holders are queued or waiting; the steal path must
-	// have widened the pool for them to even enqueue. Wait for the width.
-	wait := time.Now().Add(10 * time.Second)
-	for tbl.PoolActive(0) < 2 {
-		if time.Now().After(wait) {
-			t.Fatalf("steal never widened the pool: active=%d, slack=%d",
-				tbl.PoolActive(0), tbl.SlackPorts())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	if tbl.Stats().Supervisor.Steals == 0 {
-		t.Error("no steals recorded")
-	}
-	waitQuiesced(t, tbl, 5*time.Second)
-}
-
 // TestSupervisorStatsJSON pins the MarshalJSON surface: stable snake_case
-// keys, backends by name, and the derived ratios inlined.
+// keys and the derived ratios inlined.
 func TestSupervisorStatsJSON(t *testing.T) {
 	tbl := rme.NewLockTable(2, 4, rme.WithTableSeed(13),
 		rme.WithShardBackend(rme.MCSBackend))
@@ -561,9 +246,9 @@ func TestSupervisorStatsJSON(t *testing.T) {
 	}
 	s := string(raw)
 	for _, want := range []string{
-		`"shards"`, `"total"`, `"supervisor"`,
-		`"acquires"`, `"wakes_per_op"`, `"backend":"mcs"`,
-		`"active_ports"`, `"sweeps"`, `"migrations_to_tree"`, `"steals"`,
+		`"shards"`, `"total"`, `"supervisor"`, `"dispatcher"`,
+		`"acquires"`, `"wakes_per_op"`, `"inbox_depth"`,
+		`"sweeps"`, `"stripes_healed"`, `"ports_healed"`, `"steals"`,
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("stats JSON missing %s in %s", want, s)

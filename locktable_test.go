@@ -87,11 +87,12 @@ func TestLockTableBasics(t *testing.T) {
 		}
 	}
 
-	tbl.LockString("users/alice")
-	if !tbl.HeldString("users/alice") {
-		t.Fatal("HeldString false while locked")
+	sk := rme.StringKey("users/alice")
+	tbl.Lock(sk)
+	if !tbl.Held(sk) {
+		t.Fatal("Held false for a string key while locked")
 	}
-	tbl.UnlockString("users/alice")
+	tbl.Unlock(sk)
 	if !tbl.Quiesced() {
 		t.Fatal("string passage left ports in use")
 	}
@@ -358,12 +359,12 @@ func TestLockTableZeroAllocPassage(t *testing.T) {
 			t.Fatalf("uint64 keyed passage allocs = %v, want 0", avg)
 		}
 		for i := 0; i < 8; i++ {
-			tbl.LockString("warm/key")
-			tbl.UnlockString("warm/key")
+			tbl.Lock(rme.StringKey("warm/key"))
+			tbl.Unlock(rme.StringKey("warm/key"))
 		}
 		if avg := testing.AllocsPerRun(200, func() {
-			tbl.LockString("warm/key")
-			tbl.UnlockString("warm/key")
+			tbl.Lock(rme.StringKey("warm/key"))
+			tbl.Unlock(rme.StringKey("warm/key"))
 		}); avg != 0 {
 			t.Fatalf("string keyed passage allocs = %v, want 0", avg)
 		}

@@ -17,68 +17,49 @@ func (b ShardBackend) MarshalJSON() ([]byte, error) {
 }
 
 type shardStatsJSON struct {
-	Acquires    uint64  `json:"acquires"`
-	Publishes   uint64  `json:"publishes"`
-	Wakes       uint64  `json:"wakes"`
-	Sleeps      uint64  `json:"sleeps"`
-	Parks       uint64  `json:"parks"`
-	SpinRounds  uint64  `json:"spin_rounds"`
-	Aborts      uint64  `json:"aborts"`
-	Timeouts    uint64  `json:"timeouts"`
-	Orphans     int     `json:"orphans"`
-	InboxDepth  int     `json:"inbox_depth"`
-	Backend     string  `json:"backend"`
-	ActivePorts int     `json:"active_ports"`
-	WakesPerOp  float64 `json:"wakes_per_op"`
+	Acquires   uint64  `json:"acquires"`
+	Publishes  uint64  `json:"publishes"`
+	Wakes      uint64  `json:"wakes"`
+	Sleeps     uint64  `json:"sleeps"`
+	Parks      uint64  `json:"parks"`
+	SpinRounds uint64  `json:"spin_rounds"`
+	Aborts     uint64  `json:"aborts"`
+	Timeouts   uint64  `json:"timeouts"`
+	Orphans    int     `json:"orphans"`
+	InboxDepth int     `json:"inbox_depth"`
+	WakesPerOp float64 `json:"wakes_per_op"`
 }
 
-// MarshalJSON encodes the stripe snapshot with stable snake_case keys,
-// the backend by name, and the derived wakes-per-op ratio inlined.
+// MarshalJSON encodes the stripe snapshot with stable snake_case keys and
+// the derived wakes-per-op ratio inlined.
 func (s ShardStats) MarshalJSON() ([]byte, error) {
 	return json.Marshal(shardStatsJSON{
-		Acquires:    s.Acquires,
-		Publishes:   s.Publishes,
-		Wakes:       s.Wakes,
-		Sleeps:      s.Sleeps,
-		Parks:       s.Parks,
-		SpinRounds:  s.SpinRounds,
-		Aborts:      s.Aborts,
-		Timeouts:    s.Timeouts,
-		Orphans:     s.Orphans,
-		InboxDepth:  s.InboxDepth,
-		Backend:     s.Backend.String(),
-		ActivePorts: s.ActivePorts,
-		WakesPerOp:  s.WakesPerOp(),
+		Acquires:   s.Acquires,
+		Publishes:  s.Publishes,
+		Wakes:      s.Wakes,
+		Sleeps:     s.Sleeps,
+		Parks:      s.Parks,
+		SpinRounds: s.SpinRounds,
+		Aborts:     s.Aborts,
+		Timeouts:   s.Timeouts,
+		Orphans:    s.Orphans,
+		InboxDepth: s.InboxDepth,
+		WakesPerOp: s.WakesPerOp(),
 	})
 }
 
 type supervisorStatsJSON struct {
-	Sweeps           uint64 `json:"sweeps"`
-	StripesHealed    uint64 `json:"stripes_healed"`
-	PortsHealed      uint64 `json:"ports_healed"`
-	MigrationsToFlat uint64 `json:"migrations_to_flat"`
-	MigrationsToMCS  uint64 `json:"migrations_to_mcs"`
-	MigrationsToTree uint64 `json:"migrations_to_tree"`
-	Migrations       uint64 `json:"migrations"`
-	Grows            uint64 `json:"grows"`
-	Shrinks          uint64 `json:"shrinks"`
-	Steals           uint64 `json:"steals"`
+	Sweeps        uint64 `json:"sweeps"`
+	StripesHealed uint64 `json:"stripes_healed"`
+	PortsHealed   uint64 `json:"ports_healed"`
 }
 
-// MarshalJSON encodes the supervisor snapshot with stable snake_case keys
-// and the total migration count inlined alongside the by-direction split.
+// MarshalJSON encodes the supervisor snapshot with stable snake_case keys.
 func (s SupervisorStats) MarshalJSON() ([]byte, error) {
 	return json.Marshal(supervisorStatsJSON{
-		Sweeps:           s.Sweeps,
-		StripesHealed:    s.StripesHealed,
-		PortsHealed:      s.PortsHealed,
-		MigrationsToFlat: s.MigrationsToFlat,
-		MigrationsToMCS:  s.MigrationsToMCS,
-		MigrationsToTree: s.MigrationsToTree,
-		Migrations:       s.Migrations(),
-		Grows:            s.Grows,
-		Shrinks:          s.Shrinks,
-		Steals:           s.Steals,
+		Sweeps:        s.Sweeps,
+		StripesHealed: s.StripesHealed,
+		PortsHealed:   s.PortsHealed,
 	})
 }
 

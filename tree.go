@@ -154,11 +154,6 @@ func NewTree(n int, opts ...Option) *TreeMutex {
 // chosen through exactly this common face).
 func (t *TreeMutex) Ports() int { return t.n }
 
-// Procs is the paper-facing name for Ports: Section 3.3 speaks of n
-// processes on the arbitration tree where the flat algorithm speaks of
-// ports. The two are aliases; new code should prefer Ports.
-func (t *TreeMutex) Procs() int { return t.n }
-
 // Levels returns the tree height.
 func (t *TreeMutex) Levels() int { return t.levels }
 
@@ -283,26 +278,6 @@ func (t *TreeMutex) freeHint(proc int) bool {
 		}
 	}
 	return true
-}
-
-// quiesceExport reports whether the tree is fully idle — every process's
-// stable phase word retired, so no passage is in flight and no release
-// replay is pending at any level — and, when it is, exports the tree-level
-// crash hook for a migration to carry onto the replacement backend. Exact
-// under the caller's quiesce barrier: every climb, hold, and release
-// leaves the phase word non-idle until the passage fully completes, so
-// all-idle phase words imply all tree nodes are settled too.
-func (t *TreeMutex) quiesceExport() (CrashFunc, bool) {
-	for p := 0; p < t.n; p++ {
-		if t.phase[p].Load()&tphMask != tphIdle {
-			return nil, false
-		}
-	}
-	var fn CrashFunc
-	if pf := t.crashFn.Load(); pf != nil {
-		fn = *pf
-	}
-	return fn, true
 }
 
 // Unlock releases the outer critical section (wait-free). A crash part-way
