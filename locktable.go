@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/rmelib/rme/internal/wait"
 	"github.com/rmelib/rme/internal/xrand"
@@ -849,6 +850,16 @@ func (t *LockTable) Reclaim() int { return t.ReclaimWith(nil) }
 // finished one shard before claiming the next could block forever on a
 // stripe whose drain needs a later shard's orphan recovered first).
 //
+// While its recoveries run, the sweep keeps claiming: every
+// reclaimRescan it claims (again all shards first) the orphans that
+// appeared after its last claim pass and recovers them too, and it
+// returns only when every port it claimed is recovered. A claimed recovery
+// can be queued behind such a late orphan — a grant abandoned, or a
+// worker killed, after the claim — and nothing else may be sweeping: a
+// sweep that only waited for its first claims would then block forever,
+// and with it every caller that sweeps synchronously. The count returned
+// includes the late claims.
+//
 // If fn is non-nil it is called for each orphan before its recovery runs,
 // with the key the dead tenancy was locking (a batch tenancy reports its
 // stripe's representative key) and whether the death was inside the
@@ -862,37 +873,65 @@ func (t *LockTable) Reclaim() int { return t.ReclaimWith(nil) }
 // supervisor that caught the Crash panic. An unreclaimed orphan can stall
 // every key of its stripe.
 func (t *LockTable) ReclaimWith(fn func(key uint64, inCS bool)) int {
-	type claim struct {
-		sh *lockShard
-		l  PortLease
+	claims := t.claimOrphans(nil)
+	if len(claims) == 0 {
+		return 0
 	}
-	var claims []claim
+	done := make(chan struct{})
+	recoverAll := func(batch []shardClaim) {
+		for _, c := range batch {
+			go func(c shardClaim) {
+				sh, port := c.sh, c.l.Port
+				if fn != nil {
+					fn(sh.key[port].Load(), sh.lk.Held(port))
+				}
+				sh.recoverPort(port)
+				sh.pool.finishReclaim(c.l)
+				done <- struct{}{}
+			}(c)
+		}
+	}
+	recoverAll(claims)
+	total, pending := len(claims), len(claims)
+	rescan := time.NewTicker(reclaimRescan)
+	defer rescan.Stop()
+	for pending > 0 {
+		select {
+		case <-done:
+			pending--
+		case <-rescan.C:
+			claims = t.claimOrphans(claims[:0])
+			recoverAll(claims)
+			total += len(claims)
+			pending += len(claims)
+		}
+	}
+	return total
+}
+
+// reclaimRescan is how often a sweep with recoveries still running claims
+// the orphans that appeared since its last claim pass (see ReclaimWith).
+const reclaimRescan = time.Millisecond
+
+// shardClaim is one port a sweep claimed: its stripe and its lease.
+type shardClaim struct {
+	sh *lockShard
+	l  PortLease
+}
+
+// claimOrphans is a sweep's claim phase over every shard: each orphan
+// whose orphaned→reclaiming CAS this caller wins is appended to dst. The
+// caller owes each claim a recovery followed by finishReclaim.
+func (t *LockTable) claimOrphans(dst []shardClaim) []shardClaim {
 	var scratch []PortLease
 	for i := range t.shards {
 		sh := &t.shards[i]
 		scratch = sh.pool.claimOrphans(scratch[:0])
 		for _, l := range scratch {
-			claims = append(claims, claim{sh: sh, l: l})
+			dst = append(dst, shardClaim{sh: sh, l: l})
 		}
 	}
-	if len(claims) == 0 {
-		return 0
-	}
-	var wg sync.WaitGroup
-	for _, c := range claims {
-		wg.Add(1)
-		go func(c claim) {
-			defer wg.Done()
-			sh, port := c.sh, c.l.Port
-			if fn != nil {
-				fn(sh.key[port].Load(), sh.lk.Held(port))
-			}
-			sh.recoverPort(port)
-			sh.pool.finishReclaim(c.l)
-		}(c)
-	}
-	wg.Wait()
-	return len(claims)
+	return dst
 }
 
 // Do runs fn while holding key's lock, surviving worker deaths in the
@@ -914,7 +953,8 @@ func (t *LockTable) ReclaimWith(fn func(key uint64, inCS bool)) int {
 // while nesting on distinct stripes is safe only when every goroutine
 // nests in ascending ShardIndex order. fn may call Reclaim — the sweep
 // claims only orphaned ports, never fn's live tenancy — provided no
-// orphan can be queued on fn's own stripe: the sweep waits for each
+// orphan can be queued on fn's own stripe while the sweep runs (it also
+// claims orphans that appear mid-sweep): the sweep waits for each
 // orphan's recovery Lock to finish, and a recovery queued behind fn's
 // held stripe cannot finish until fn returns. Sweep other stripes' deaths
 // from inside; sweep your own stripe's only from outside the lock.

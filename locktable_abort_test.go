@@ -198,6 +198,55 @@ func TestAbortStrandedStripeHazard(t *testing.T) {
 	})
 }
 
+// TestAbortReclaimLateOrphan pins a sweep's liveness against orphans that
+// appear after its claim phase. A waiter is stranded mid-queue behind a
+// granted async request (abort fix-up disabled, so the stranded waiter is
+// a plain orphan), and Reclaim claims it: its recovery queues behind the
+// grant. The grantee then abandons the grant, orphaning the stripe's
+// holder after the sweep's claim. Reclaim must claim and recover that
+// holder too. A sweep that only waited for its first claims would block
+// forever, and so would every caller that sweeps synchronously — the
+// abort storm's 1 ms sweeper, Do, and the dispatcher among them.
+func TestAbortReclaimLateOrphan(t *testing.T) {
+	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
+		tbl := rme.NewLockTable(1, 2, rme.WithTableSeed(3), rme.WithShardBackend(backend))
+		defer tbl.Close()
+		tbl.SetNoAbortFixup(true)
+		k1, k2 := sameStripeKeys(tbl)
+
+		g := <-tbl.LockAsync(k1)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		defer cancel()
+		if err := tbl.LockContext(ctx, k2); err != context.DeadlineExceeded {
+			t.Fatalf("LockContext = %v, want DeadlineExceeded", err)
+		}
+
+		swept := make(chan int, 1)
+		go func() { swept <- tbl.Reclaim() }()
+		waitFor(t, 5*time.Second, "the sweep to claim the stranded waiter", func() bool {
+			for p := 0; p < tbl.Ports(); p++ {
+				if tbl.PortLeaseState(0, p) == rme.LeaseReclaiming {
+					return true
+				}
+			}
+			return false
+		})
+		g.Abandon()
+
+		select {
+		case n := <-swept:
+			if n != 2 {
+				t.Fatalf("Reclaim() = %d, want 2 (the stranded waiter and the abandoned grant)", n)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Reclaim blocked behind an orphan created after its claim phase")
+		}
+		pollQuiesced(t, tbl)
+		tbl.Lock(k2)
+		tbl.Unlock(k2)
+	})
+}
+
 // TestAbortAsyncGrantRace pins LockAsyncContext's exactly-once settlement
 // through each of its three race outcomes — shed before acquisition,
 // grant delivered, and cancelled-after-granted (which must degrade to an

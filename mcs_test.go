@@ -264,11 +264,12 @@ func TestLockTableMCSDescriptorStall(t *testing.T) {
 	tbl.SetCrashFunc(crashOnceAt("M.swap"))
 	expectCrash(t, func() { tbl.Lock(key) })
 	tbl.SetCrashFunc(nil)
-	entered := make(chan struct{})
+	entered, released := make(chan struct{}), make(chan struct{})
 	go func() {
 		tbl.Lock(key + 1) // same (only) stripe; must stall on the descriptor
 		close(entered)
 		tbl.Unlock(key + 1)
+		close(released)
 	}()
 	select {
 	case <-entered:
@@ -283,6 +284,7 @@ func TestLockTableMCSDescriptorStall(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("arrival still stalled after the sweep")
 	}
+	<-released // the rival's Unlock, not just its entry, precedes the probe
 	if !tbl.Quiesced() {
 		t.Fatal("table not quiesced")
 	}
