@@ -41,9 +41,9 @@ import (
 // the CS wait-free and the release wakes whatever queues behind it,
 // exactly as for an independent in-CS death. Adoption is
 // backend-independent: the restored stripe's lock is fresh and
-// uncontended, so a plain Lock(port) during the single-threaded restore
-// re-establishes CS ownership on flat, tree, and MCS shapes alike through
-// the same portLock surface the rest of the table uses.
+// uncontended, so a plain LockDone(port, nil) during the single-threaded
+// restore re-establishes CS ownership on flat, tree, and MCS shapes alike
+// through the same portLock surface the rest of the table uses.
 
 // ckptMagic opens every checkpoint; the trailing byte is the format
 // generation (bump together with ckptVersion on incompatible changes).
@@ -200,13 +200,19 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 	}
 	// The exact-length check both rejects truncated/padded images and
 	// bounds the allocations below: a forged shard count cannot make us
-	// allocate more than the image's own length justifies.
-	want := uint64(ckptHeaderLen) + uint64(shards)*uint64(ports)*ckptPortLen + 4
-	if uint64(len(data)) != want {
-		return nil, corrupt("length %d does not match declared %d×%d arena (want %d)", len(data), shards, ports, want)
+	// allocate more than the image's own length justifies. It divides the
+	// image's port records by the declared dimensions rather than
+	// multiplying them, because the product of two forged 32-bit counts
+	// can wrap 64 bits and land on the image's real length.
+	records := len(data) - ckptHeaderLen - 4
+	if records%ckptPortLen != 0 || records/ckptPortLen%shards != 0 || records/ckptPortLen/shards != ports {
+		return nil, corrupt("length %d does not match declared %d×%d arena", len(data), shards, ports)
 	}
 	if !validConcreteBackend(tableBackend) {
 		return nil, corrupt("invalid table backend %d", int(tableBackend))
+	}
+	if tableBackend == MCSBackend && ports > mcsMaxPorts {
+		return nil, corrupt("%d ports exceed the MCS backend's %d", ports, mcsMaxPorts)
 	}
 
 	stripes := make([]ckptStripe, shards)
@@ -257,10 +263,10 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 		if st.inCS >= 0 {
 			// Adopt the dead holder's critical section before publishing
 			// its lease word: the fresh lock is uncontended and the restore
-			// is single-threaded, so Lock re-establishes ownership
+			// is single-threaded, so LockDone re-establishes ownership
 			// immediately on any backend, and everything that queues later
 			// correctly queues behind the orphan.
-			sh.lk.Lock(st.inCS)
+			sh.lk.LockDone(st.inCS, nil)
 		}
 		for p := 0; p < ports; p++ {
 			epoch := (st.words[p] >> leaseEpochShift) + 1

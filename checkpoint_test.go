@@ -246,13 +246,9 @@ func TestCheckpointRestoreOptionMismatch(t *testing.T) {
 // of the retired generation 1 layout (which carried a per-stripe lock
 // shape and active-port bound) — and requires an error wrapping
 // ErrCheckpointCorrupt every time, never a panic (the test harness turns
-// any panic into a failure).
+// any panic into a failure). FuzzRestoreTable explores past these inputs.
 func TestCheckpointCorruptBytes(t *testing.T) {
-	tbl := rme.NewLockTable(2, 2, rme.WithTableSeed(3))
-	defer tbl.Close()
-	tbl.Lock(1) // some non-trivial state in the image
-	data := mustCheckpoint(t, tbl)
-	tbl.Unlock(1)
+	data := heldKeyImage(t) // some non-trivial state in the image
 
 	mustReject := func(name string, b []byte) {
 		t.Helper()
@@ -277,6 +273,19 @@ func TestCheckpointCorruptBytes(t *testing.T) {
 		mustReject("byte flipped", mut)
 	}
 
+	// Two checksum-valid forgeries whose structural checks used to let
+	// them through: dimensions whose record count wraps 64 bits onto the
+	// image's real length (the restore then asked for a 42 GB stripe
+	// table), and an MCS image with more ports than an MCS lock supports.
+	mustReject("arena size wrapping 64 bits", forgeImage(752531719, 1441936021, rme.FlatBackend, 100))
+	mustReject("MCS ports past the backend's limit", forgeImage(1, 65536, rme.MCSBackend, 0))
+
+	mustReject("v1 image", v1Image())
+}
+
+// v1Image is a well-formed, checksummed image of the retired generation 1
+// layout, which carried a per-stripe lock shape and active-port bound.
+func v1Image() []byte {
 	le := binary.LittleEndian
 	var v1 []byte
 	v1 = append(v1, "RMECKPT1"...)
@@ -290,8 +299,104 @@ func TestCheckpointCorruptBytes(t *testing.T) {
 	v1 = le.AppendUint64(v1, 0)            // port 0 lease word
 	v1 = le.AppendUint64(v1, 0)            // port 0 key
 	v1 = append(v1, 0)                     // port 0 flags
-	v1 = le.AppendUint32(v1, crc32.ChecksumIEEE(v1))
-	mustReject("v1 image", v1)
+	return le.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+}
+
+// heldKeyImage checkpoints a 2×2 table while key 1 is held — the image the
+// corrupt-bytes test truncates and flips.
+func heldKeyImage(tb testing.TB) []byte {
+	tbl := rme.NewLockTable(2, 2, rme.WithTableSeed(3))
+	defer tbl.Close()
+	tbl.Lock(1)
+	defer tbl.Unlock(1)
+	return mustCheckpoint(tb, tbl)
+}
+
+// orphanImage checkpoints a 2×4 table of the given backend after two
+// deaths: a holder dead inside its critical section and a worker dead at
+// its first acquisition step.
+func orphanImage(tb testing.TB, backend rme.ShardBackend) []byte {
+	tbl := rme.NewLockTable(2, 4, rme.WithTableSeed(5), rme.WithShardBackend(backend))
+	defer tbl.Close()
+	keys := distinctStripeKeys(tb, tbl, 2)
+	tbl.Lock(keys[0])
+	tbl.SetCrashFunc(func(int, string) bool { return true })
+	if absorbCrash(func() { tbl.Unlock(keys[0]) }) || absorbCrash(func() { tbl.Lock(keys[1]) }) {
+		tb.Fatal("a passage survived an always-on crash hook")
+	}
+	return mustCheckpoint(tb, tbl)
+}
+
+// FuzzRestoreTable drives RestoreTable's decoder past its checksum: each
+// input is restored as given and again with its CRC trailer recomputed, so
+// mutations reach the structural checks instead of all dying at the CRC.
+// Either the error wraps ErrCheckpointCorrupt, or the table restores, one
+// Reclaim leaves no orphans, and Close returns; a panic fails the target.
+// Seeds are Checkpoint images (empty, a held key, orphans on each backend)
+// plus the corrupt-bytes test's truncations, flips, and v1 image.
+func FuzzRestoreTable(f *testing.F) {
+	empty := rme.NewLockTable(2, 2, rme.WithTableSeed(1))
+	f.Add(mustCheckpoint(f, empty))
+	empty.Close()
+	held := heldKeyImage(f)
+	f.Add(held)
+	for _, b := range []rme.ShardBackend{rme.FlatBackend, rme.TreeBackend, rme.MCSBackend} {
+		f.Add(orphanImage(f, b))
+	}
+	for n := 0; n < len(held); n++ {
+		f.Add(held[:n:n])
+	}
+	for i := range held {
+		mut := append([]byte{}, held...)
+		mut[i] ^= 0xff
+		f.Add(mut)
+	}
+	f.Add(v1Image())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		restoreChecked(t, data)
+		if len(data) >= 4 {
+			fixed := append([]byte{}, data...)
+			body := fixed[:len(fixed)-4]
+			binary.LittleEndian.PutUint32(fixed[len(body):], crc32.ChecksumIEEE(body))
+			restoreChecked(t, fixed)
+		}
+	})
+}
+
+// restoreChecked is FuzzRestoreTable's property for one input.
+func restoreChecked(t *testing.T, data []byte) {
+	nt, err := rme.RestoreTable(data)
+	if err != nil {
+		if !errors.Is(err, rme.ErrCheckpointCorrupt) {
+			t.Fatalf("error does not wrap ErrCheckpointCorrupt: %v", err)
+		}
+		return
+	}
+	nt.Reclaim()
+	if n := nt.Orphans(); n != 0 {
+		t.Fatalf("%d orphans left after Reclaim", n)
+	}
+	nt.Close()
+}
+
+// forgeImage builds a checksummed current-format image declaring a
+// shards×ports arena on backend. Its port records are all zero (free,
+// keyless), and there are exactly as many as the dimensions declare unless
+// size (the whole image's length) overrides that.
+func forgeImage(shards, ports uint32, backend rme.ShardBackend, size int) []byte {
+	le := binary.LittleEndian
+	img := []byte("RMECKPT2")
+	img = le.AppendUint32(img, 2)    // version
+	img = le.AppendUint64(img, 0x51) // seed
+	img = le.AppendUint32(img, shards)
+	img = le.AppendUint32(img, ports)
+	img = append(img, byte(backend))
+	if size == 0 {
+		size = len(img) + int(shards)*int(ports)*(8+8+1) + 4
+	}
+	img = append(img, make([]byte, size-len(img)-4)...)
+	return le.AppendUint32(img, crc32.ChecksumIEEE(img))
 }
 
 // TestCheckpointRestoreSupervisorEagerSweep proves the restore-triggered

@@ -1,6 +1,7 @@
 package rme
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"github.com/rmelib/rme/internal/wait"
@@ -113,8 +114,10 @@ func (q *runQueue) init(stripes int) {
 	}
 }
 
-// enqueue publishes sh at the tail. Never blocks: the at-most-once
-// invariant keeps occupancy at or below the stripe count ≤ capacity.
+// enqueue publishes sh at the tail. The at-most-once invariant keeps
+// occupancy at or below the stripe count ≤ capacity, so it never waits for
+// room — only, briefly, for a consumer that has claimed the slot's previous
+// lap (won the head CAS) but not yet stored the slot's sequence.
 func (q *runQueue) enqueue(sh *lockShard) {
 	for {
 		pos := q.tail.Load()
@@ -127,9 +130,16 @@ func (q *runQueue) enqueue(sh *lockShard) {
 				return
 			}
 		} else if seq < pos {
-			// A full ring means a stripe was enqueued twice — a run-state
-			// protocol violation, never load. Fail loudly.
-			panic("rme: dispatcher run queue overflow")
+			// The slot still holds its previous lap, pos-size. If head has
+			// moved past that lap, a consumer claimed it and is between its
+			// head CAS and its seq store: the ring has room, so wait for
+			// the store. Otherwise the ring really is full, which means a
+			// stripe was enqueued twice — a run-state protocol violation,
+			// never load. Fail loudly.
+			if q.head.Load()+q.mask+1 <= pos {
+				panic("rme: dispatcher run queue overflow")
+			}
+			runtime.Gosched()
 		}
 		// seq > pos: another producer moved tail between loads; retry.
 	}
@@ -294,7 +304,7 @@ func (e *executor) worker(id int) {
 				e.finalDrain()
 				return
 			}
-			e.idle.Wait(e.parkStrat, e.idleCond)
+			e.idle.Wait(e.parkStrat, e.idleCond, nil)
 			continue
 		}
 		e.runStripe(w, sh)

@@ -209,16 +209,22 @@
 //
 // # Deadlines, TryLock, and aborts
 //
-// Every blocking keyed entry point has a deadline-aware twin: TryLock
+// Every blocking keyed entry point has a deadline-aware form: TryLock
 // returns immediately with a boolean, LockContext / LockBatchContext /
 // LockAsyncContext observe a context's cancellation or deadline. The
-// design rule that makes abort safe in a recoverable lock is
-// abort-as-cooperative-crash: a cancelled waiter leaves its protocol
-// state exactly as if it had crashed at its current step, then runs the
-// recovery pass itself (a background Lock/Unlock on the abandoned port)
-// instead of waiting for a supervisor's Reclaim. The caller gets its
-// error immediately; the stripe heals cooperatively; no sweep is needed
-// and nothing is stranded. Two invariants hold on every backend:
+// synchronous ones are not separate code paths. Each layer, from the
+// wait engine through the backends' LockDone, the lease pool's
+// AcquireDone and the table's stripe routine, has one acquisition body
+// that takes a cancel channel; the blocking call passes nil, LockContext
+// and LockBatchContext pass ctx.Done(), and TryLock passes a closed
+// channel after a free-port probe. The design rule that makes abort safe
+// in a recoverable lock is abort-as-cooperative-crash: a cancelled waiter
+// leaves its protocol state exactly as if it had crashed at its current
+// step, then runs the recovery pass itself (a background Lock/Unlock on
+// the abandoned port) instead of waiting for a supervisor's Reclaim. The
+// caller gets its error immediately; the stripe heals cooperatively; no
+// sweep is needed and nothing is stranded. Two invariants hold on every
+// backend:
 //
 //   - No lost wakes. A waiter that cancels races the wake handout; if a
 //     wake lands on the departing waiter it is absorbed and forwarded to

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// TestAbortChainCancelVsWakeRace storms the WaitDone cancel path against
+// TestAbortChainCancelVsWakeRace storms the Wait cancel path against
 // concurrent Wakes on a capacity-1 semaphore: half the wait episodes carry
 // an already-closed cancel channel, so cancellations constantly race the
 // wake handout and the retire path's absorb-and-forward fires for real.
@@ -66,7 +66,7 @@ func TestAbortChainCancelVsWakeRace(t *testing.T) {
 							done = open
 						}
 						for !tryAcquire() {
-							if !c.WaitDone(st, free, done) {
+							if !c.Wait(st, free, done) {
 								cancels.Add(1)
 								done = open
 							}

@@ -28,7 +28,7 @@ func TestChainWakeOne(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		go func() {
-			c.Wait(Yield(), released.Load)
+			c.Wait(Yield(), released.Load, nil)
 			done <- i
 		}()
 		// Registration (the count increment) happens before the waiter can
@@ -56,7 +56,7 @@ func TestChainCancel(t *testing.T) {
 	cond.Store(true)
 	// cond already true: Wait must return immediately and leave the chain
 	// empty.
-	c.Wait(Yield(), cond.Load)
+	c.Wait(Yield(), cond.Load, nil)
 	if c.Waiters() != 0 {
 		t.Fatalf("canceled waiter left the chain at %d waiters", c.Waiters())
 	}
@@ -93,7 +93,7 @@ func TestChainNoLostWakeStorm(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < itersPerWorker; i++ {
 				for !tryTake() {
-					c.Wait(SpinThenPark(8), free)
+					c.Wait(SpinThenPark(8), free, nil)
 				}
 				if n := inside.Add(1); n > 2 {
 					t.Errorf("%d holders of a 2-permit semaphore", n)
@@ -128,7 +128,7 @@ func TestChainWakeDrainsAll(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !released.Load() {
-				c.Wait(Yield(), released.Load)
+				c.Wait(Yield(), released.Load, nil)
 			}
 		}()
 	}
@@ -160,9 +160,9 @@ func TestChainZeroAllocSteadyState(t *testing.T) {
 	st := Yield()
 	// Warm: one registration creates the node.
 	cond.Store(true)
-	c.Wait(st, cond.Load)
+	c.Wait(st, cond.Load, nil)
 	if avg := testing.AllocsPerRun(200, func() {
-		c.Wait(st, cond.Load) // cancels immediately; node recycled
+		c.Wait(st, cond.Load, nil) // cancels immediately; node recycled
 	}); avg != 0 {
 		t.Fatalf("steady-state chain wait allocs = %v, want 0", avg)
 	}
@@ -188,7 +188,7 @@ func TestChainZeroAllocSteadyState(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, func() {
 		cond.Store(false)
 		for !cond.Load() {
-			c.Wait(st, cond.Load)
+			c.Wait(st, cond.Load, nil)
 		}
 	}); avg != 0 {
 		t.Fatalf("sleep/wake round trip allocs = %v, want 0", avg)

@@ -51,7 +51,7 @@
 // (lazily, by the parking strategy's first Attach on the slot) and reused
 // by every later episode. A wake token sent to an episode that was
 // abandoned after its waker committed the state transition can therefore
-// surface in a later episode as a stale token; Park guards against that by
+// surface in a later episode as a stale token; park guards against that by
 // re-checking the packed word after every channel receive and re-parking
 // on tokens that do not correspond to a delivered wake.
 //
@@ -64,6 +64,13 @@
 // or yielding to the Go scheduler on every probe (the conservative
 // default). All three deliver wakes through the same packed-word state
 // machine, so the crash-safety argument is strategy-independent.
+//
+// Each strategy has one sleep, and it takes a done channel: a nil done
+// waits forever, a closed one ends the sleep unwoken. A cancelled episode
+// is left exactly as a crashed waiter leaves one: Cell.AwaitDone retires
+// its generation, and Chain.Wait forwards a wake that raced the
+// cancellation. The loops poll done only when it is non-nil, so an
+// uncancellable wait pays nothing for the poll.
 package wait
 
 import (
@@ -179,23 +186,17 @@ func (w *Waiter) wake(gen uint32) bool {
 	}
 }
 
-// ParkDone is Park with a cancellation channel: it blocks until a wake is
-// delivered or done is closed, and reports whether the episode was woken.
-// A false return leaves the packed word as it stands (possibly Parked); the
-// caller retires the episode (Cell.AwaitDone does) so a racing wake dies on
-// its generation CAS instead of leaking into a later episode.
-func (w *Waiter) ParkDone(done <-chan struct{}) bool {
-	if w.ch == nil {
-		for !w.Woken() {
-			select {
-			case <-done:
-				return w.Woken()
-			default:
-			}
-			runtime.Gosched()
-		}
-		return true
-	}
+// park blocks until a wake is delivered to the current episode or done is
+// closed (a nil done never is), sleeping on the Waiter's channel, and
+// reports whether the episode was woken. A channel token is only a hint:
+// tokens leaked by wakers of dead episodes wake park spuriously, so it
+// re-checks the packed word after every receive and re-parks until the
+// wake is real. A false return leaves the packed word as it stands
+// (possibly Parked); the caller retires the episode (Cell.AwaitDone does)
+// so a racing wake dies on its generation CAS instead of leaking into a
+// later episode. Only the parking strategy calls park, after its Attach
+// created the channel.
+func (w *Waiter) park(done <-chan struct{}) bool {
 	for {
 		cur := w.word.Load()
 		switch cur & stateMask {
@@ -209,40 +210,18 @@ func (w *Waiter) ParkDone(done <-chan struct{}) bool {
 				st.Parks.Add(1)
 			}
 		}
+		if done == nil {
+			// A plain receive, not a select with a nil case: parking in
+			// selectgo doubled the passage time of contended spin-park
+			// locks at GOMAXPROCS=1.
+			<-w.ch
+			continue
+		}
 		select {
 		case <-w.ch:
 		case <-done:
 			return w.Woken()
 		}
-	}
-}
-
-// Park blocks until a wake is delivered to the current episode, sleeping on
-// the Waiter's channel. A channel token is only a hint: tokens leaked by
-// wakers of dead episodes wake Park spuriously, so it re-checks the packed
-// word after every receive and re-parks until the wake is real. On a Waiter
-// whose strategy never created the channel it degrades to yielding.
-func (w *Waiter) Park() {
-	if w.ch == nil {
-		for !w.Woken() {
-			runtime.Gosched()
-		}
-		return
-	}
-	for {
-		cur := w.word.Load()
-		switch cur & stateMask {
-		case stateSet:
-			return
-		case stateEmpty:
-			if !w.word.CompareAndSwap(cur, cur&^stateMask|stateParked) {
-				continue
-			}
-			if st := w.stats.Load(); st != nil {
-				st.Parks.Add(1)
-			}
-		}
-		<-w.ch
 	}
 }
 
@@ -258,7 +237,7 @@ type Cell struct {
 // the replacement for allocating and publishing a fresh spin word. Any
 // pending wakes aimed at earlier episodes are thereby lost — deliberately.
 // The caller must re-check its wait condition after Begin and before
-// sleeping (Await does this for the single-shot case).
+// sleeping (AwaitDone does this for the single-shot case).
 func (c *Cell) Begin(st Strategy) *Waiter {
 	st.Attach(&c.w)
 	c.w.begin()
@@ -283,28 +262,23 @@ func (c *Cell) Reset() {
 	c.w.begin()
 }
 
-// Await opens an episode, re-checks cond, and sleeps until a wake arrives —
-// the single-shot wait of the Signal object (Figure 2 lines 5–9). cond must
-// become true before (in happens-before order) the corresponding Cell.Wake,
-// which is exactly the set-bit-then-wake discipline of signal setters;
-// Await re-checks it after stamping the generation so a wake that raced
-// ahead of the stamp is never missed.
-func (c *Cell) Await(st Strategy, cond func() bool) {
-	w := c.Begin(st)
-	if cond() {
-		return
-	}
-	st.Sleep(w)
-}
+// Await is AwaitDone with a nil done: it sleeps until a wake arrives.
+func (c *Cell) Await(st Strategy, cond func() bool) { c.AwaitDone(st, cond, nil) }
 
-// AwaitDone is Await with a cancellation channel: it sleeps until a wake
-// arrives or done is closed, and returns cond()'s final value — true when
-// the wait ended woken (or the condition was already true), false only when
-// the wait was cancelled with the condition still false. Checking cond once
-// more after a cancelled sleep is what makes a cancel-vs-wake race settle
-// deterministically: a waker that set the condition and delivered its wake
-// concurrently with the cancellation is observed here, and the caller
-// proceeds as woken.
+// AwaitDone opens an episode, re-checks cond, and sleeps until a wake
+// arrives or done is closed (a nil done never is) — the single-shot wait of
+// the Signal object (Figure 2 lines 5–9). cond must become true before (in
+// happens-before order) the corresponding Cell.Wake, which is exactly the
+// set-bit-then-wake discipline of signal setters; AwaitDone re-checks it
+// after stamping the generation so a wake that raced ahead of the stamp is
+// never missed.
+//
+// It returns cond()'s final value — true when the wait ended woken (or the
+// condition was already true), false only when the wait was cancelled with
+// the condition still false. Checking cond once more after a cancelled
+// sleep is what makes a cancel-vs-wake race settle deterministically: a
+// waker that set the condition and delivered its wake concurrently with the
+// cancellation is observed here, and the caller proceeds as woken.
 //
 // On cancellation the episode is retired (generation bumped) before the
 // final cond check, so a racing wake aimed at it dies on its CAS — exactly
@@ -312,13 +286,10 @@ func (c *Cell) Await(st Strategy, cond func() bool) {
 // is safe for condition-style waits, where wakes are hints over persistent
 // state; callers whose wakes are consumable resources (one handed out per
 // release) must forward a racing wake instead of dropping it, which is what
-// Chain.WaitDone layers on top of this.
+// Chain.Wait layers on top of this.
 func (c *Cell) AwaitDone(st Strategy, cond func() bool, done <-chan struct{}) bool {
 	w := c.Begin(st)
-	if cond() {
-		return true
-	}
-	if SleepDone(st, w, done) {
+	if cond() || st.Sleep(w, done) {
 		return true
 	}
 	c.w.begin() // retire the cancelled episode: racing wakes die on their CAS
@@ -348,9 +319,10 @@ func (s *Stats) Reset() {
 }
 
 // Strategy is how a waiting process passes the time between opening its
-// episode and receiving a wake. Implementations must return from Sleep once
-// the Waiter is woken. A given Cell is meant to be driven by one strategy
-// for its whole life (the lock stack fixes it at construction).
+// episode and receiving a wake. A given Cell is meant to be driven by one
+// strategy for its whole life (the lock stack fixes it at construction).
+// Waiter is internal, so this package's strategies are the only
+// implementations.
 type Strategy interface {
 	// Attach readies the Cell's reusable Waiter for one episode; it runs
 	// before the generation stamp makes the episode live. The parking
@@ -358,47 +330,24 @@ type Strategy interface {
 	// wrapper binds its counters here. It must not allocate on the
 	// steady-state path.
 	Attach(w *Waiter)
-	// Sleep blocks until w has been woken (Woken reports true).
-	Sleep(w *Waiter)
+	// Sleep blocks until w is woken or done is closed (a nil done never
+	// is), and reports whether the episode was woken. A wake that raced the
+	// cancellation counts as woken: Sleep never returns false while a wake
+	// is already delivered.
+	Sleep(w *Waiter, done <-chan struct{}) bool
 	// String names the strategy in benchmark output.
 	String() string
 }
 
-// DoneSleeper is the optional cancellable face of a Strategy: a strategy
-// that implements it can interrupt a Sleep when a cancellation channel
-// closes. All strategies in this package implement it natively; SleepDone
-// falls back to a yield-poll loop for foreign strategies that do not.
-type DoneSleeper interface {
-	// SleepDone blocks until w is woken or done is closed, and reports
-	// whether the episode was woken (a wake that raced the cancellation
-	// counts as woken). It must not return false while a wake is already
-	// delivered.
-	SleepDone(w *Waiter, done <-chan struct{}) bool
-}
-
-// SleepDone sleeps under st until a wake or a cancellation, reporting
-// whether the episode was woken. Strategies that implement DoneSleeper are
-// interrupted natively (a parked sleeper selects on done); others degrade
-// to probing the Waiter and the channel in a yield loop.
-func SleepDone(st Strategy, w *Waiter, done <-chan struct{}) bool {
-	if ds, ok := st.(DoneSleeper); ok {
-		return ds.SleepDone(w, done)
-	}
-	if w.Woken() {
+// cancelled polls done without blocking. Strategy loops call it only for
+// a non-nil done, so an uncancellable wait pays nothing for the poll.
+func cancelled(done <-chan struct{}) bool {
+	select {
+	case <-done:
 		return true
+	default:
+		return false
 	}
-	if s := w.stats.Load(); s != nil {
-		s.Sleeps.Add(1)
-	}
-	for !w.Woken() {
-		select {
-		case <-done:
-			return w.Woken()
-		default:
-		}
-		runtime.Gosched()
-	}
-	return true
 }
 
 // spin parameters: pause lengths double from minPause to maxPause; after
@@ -436,19 +385,7 @@ func Yield() Strategy { return yieldStrategy{} }
 
 func (yieldStrategy) Attach(*Waiter) {}
 
-func (yieldStrategy) Sleep(w *Waiter) {
-	if w.Woken() {
-		return
-	}
-	if st := w.stats.Load(); st != nil {
-		st.Sleeps.Add(1)
-	}
-	for !w.Woken() {
-		runtime.Gosched()
-	}
-}
-
-func (yieldStrategy) SleepDone(w *Waiter, done <-chan struct{}) bool {
+func (yieldStrategy) Sleep(w *Waiter, done <-chan struct{}) bool {
 	if w.Woken() {
 		return true
 	}
@@ -456,10 +393,8 @@ func (yieldStrategy) SleepDone(w *Waiter, done <-chan struct{}) bool {
 		st.Sleeps.Add(1)
 	}
 	for !w.Woken() {
-		select {
-		case <-done:
+		if done != nil && cancelled(done) {
 			return w.Woken()
-		default:
 		}
 		runtime.Gosched()
 	}
@@ -478,30 +413,7 @@ func Spin() Strategy { return spinStrategy{} }
 
 func (spinStrategy) Attach(*Waiter) {}
 
-func (spinStrategy) Sleep(w *Waiter) {
-	if w.Woken() {
-		return
-	}
-	st := w.stats.Load()
-	if st != nil {
-		st.Sleeps.Add(1)
-	}
-	pause := minPause
-	for round := 0; !w.Woken(); round++ {
-		procyield(pause)
-		if pause < maxPause {
-			pause <<= 1
-		}
-		if round >= spinYieldAfter {
-			runtime.Gosched()
-		}
-		if st != nil {
-			st.SpinRounds.Add(1)
-		}
-	}
-}
-
-func (spinStrategy) SleepDone(w *Waiter, done <-chan struct{}) bool {
+func (spinStrategy) Sleep(w *Waiter, done <-chan struct{}) bool {
 	if w.Woken() {
 		return true
 	}
@@ -511,10 +423,8 @@ func (spinStrategy) SleepDone(w *Waiter, done <-chan struct{}) bool {
 	}
 	pause := minPause
 	for round := 0; !w.Woken(); round++ {
-		select {
-		case <-done:
+		if done != nil && cancelled(done) {
 			return w.Woken()
-		default:
 		}
 		procyield(pause)
 		if pause < maxPause {
@@ -556,31 +466,7 @@ func (s spinParkStrategy) Attach(w *Waiter) {
 	}
 }
 
-func (s spinParkStrategy) Sleep(w *Waiter) {
-	if w.Woken() {
-		return
-	}
-	st := w.stats.Load()
-	if st != nil {
-		st.Sleeps.Add(1)
-	}
-	pause := minPause
-	for round := 0; round < s.rounds; round++ {
-		if w.Woken() {
-			return
-		}
-		procyield(pause)
-		if pause < maxPause {
-			pause <<= 1
-		}
-		if st != nil {
-			st.SpinRounds.Add(1)
-		}
-	}
-	w.Park()
-}
-
-func (s spinParkStrategy) SleepDone(w *Waiter, done <-chan struct{}) bool {
+func (s spinParkStrategy) Sleep(w *Waiter, done <-chan struct{}) bool {
 	if w.Woken() {
 		return true
 	}
@@ -593,10 +479,8 @@ func (s spinParkStrategy) SleepDone(w *Waiter, done <-chan struct{}) bool {
 		if w.Woken() {
 			return true
 		}
-		select {
-		case <-done:
+		if done != nil && cancelled(done) {
 			return w.Woken()
-		default:
 		}
 		procyield(pause)
 		if pause < maxPause {
@@ -606,7 +490,7 @@ func (s spinParkStrategy) SleepDone(w *Waiter, done <-chan struct{}) bool {
 			st.SpinRounds.Add(1)
 		}
 	}
-	return w.ParkDone(done)
+	return w.park(done)
 }
 
 func (s spinParkStrategy) String() string { return "spinpark" }
@@ -628,10 +512,6 @@ func (s instrumented) Attach(w *Waiter) {
 	s.stats.Publishes.Add(1)
 }
 
-func (s instrumented) Sleep(w *Waiter) { s.inner.Sleep(w) }
-
-func (s instrumented) SleepDone(w *Waiter, done <-chan struct{}) bool {
-	return SleepDone(s.inner, w, done)
-}
+func (s instrumented) Sleep(w *Waiter, done <-chan struct{}) bool { return s.inner.Sleep(w, done) }
 
 func (s instrumented) String() string { return s.inner.String() }

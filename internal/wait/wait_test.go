@@ -23,7 +23,7 @@ func TestWakeBeforeSleep(t *testing.T) {
 			c.Wake()
 			done := make(chan struct{})
 			go func() {
-				st.Sleep(w)
+				st.Sleep(w, nil)
 				close(done)
 			}()
 			select {
@@ -43,7 +43,7 @@ func TestSleepThenWake(t *testing.T) {
 			w := c.Begin(st)
 			done := make(chan struct{})
 			go func() {
-				st.Sleep(w)
+				st.Sleep(w, nil)
 				close(done)
 			}()
 			select {
@@ -84,7 +84,7 @@ func TestStaleWakeIsLost(t *testing.T) {
 			}
 			done := make(chan struct{})
 			go func() {
-				st.Sleep(w)
+				st.Sleep(w, nil)
 				close(done)
 			}()
 			select {
@@ -134,7 +134,7 @@ func TestGenerationWraparound(t *testing.T) {
 			w = c.Begin(st)
 			done := make(chan struct{})
 			go func() {
-				st.Sleep(w)
+				st.Sleep(w, nil)
 				close(done)
 			}()
 			time.Sleep(2 * time.Millisecond)
@@ -170,7 +170,7 @@ func TestRepublishWakeStorm(t *testing.T) {
 						continue // "crash": abandon the episode unslept
 					}
 					for cond.Load() < int64(i) {
-						st.Sleep(w)
+						st.Sleep(w, nil)
 						w.Consume()
 					}
 				}
@@ -211,11 +211,11 @@ func TestZeroAllocEpisodes(t *testing.T) {
 			var c Cell
 			w := c.Begin(st) // first episode pays the lazy channel, if any
 			c.Wake()
-			st.Sleep(w)
+			st.Sleep(w, nil)
 			avg := testing.AllocsPerRun(200, func() {
 				w := c.Begin(st)
 				c.Wake()
-				st.Sleep(w)
+				st.Sleep(w, nil)
 				w.Consume()
 			})
 			if avg != 0 {
@@ -240,7 +240,7 @@ func TestConsumeAndRecheck(t *testing.T) {
 			go func() {
 				wakes := 0
 				for cond.Load() < rounds {
-					st.Sleep(w)
+					st.Sleep(w, nil)
 					w.Consume()
 					wakes++
 				}
@@ -276,7 +276,7 @@ func TestParkWakeRace(t *testing.T) {
 		for i := 0; i < iters; i++ {
 			w := c.Begin(st)
 			for turn.Load() <= int32(i) {
-				st.Sleep(w)
+				st.Sleep(w, nil)
 				w.Consume()
 			}
 		}
@@ -308,11 +308,11 @@ func TestDoubleWakeCollapses(t *testing.T) {
 	w := c.Begin(st)
 	c.Wake()
 	c.Wake()
-	st.Sleep(w) // returns immediately
+	st.Sleep(w, nil) // returns immediately
 	w.Consume()
 	done := make(chan struct{})
 	go func() {
-		st.Sleep(w) // must actually block: both wakes were consumed as one
+		st.Sleep(w, nil) // must actually block: both wakes were consumed as one
 		close(done)
 	}()
 	select {
@@ -331,7 +331,7 @@ func TestDoubleWakeCollapses(t *testing.T) {
 // TestStaleParkTokenIsAbsorbed forces the one token-leak window reuse
 // opens: a waker commits its parked→set CAS, the episode dies before the
 // token is consumed, and a later episode of the same slot parks. The stale
-// token must wake that park only spuriously — Park re-checks and re-parks —
+// token must wake that park only spuriously — park re-checks and re-parks —
 // and the real wake must still get through.
 func TestStaleParkTokenIsAbsorbed(t *testing.T) {
 	st := SpinThenPark(1)
@@ -344,12 +344,12 @@ func TestStaleParkTokenIsAbsorbed(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		c.Wake()
 	}()
-	st.Sleep(w)
+	st.Sleep(w, nil)
 	w = c.Begin(st)
 	c.w.ch <- struct{}{} // the stale token lands after the drain
 	done := make(chan struct{})
 	go func() {
-		st.Sleep(w) // spurious token must not release this sleep
+		st.Sleep(w, nil) // spurious token must not release this sleep
 		close(done)
 	}()
 	select {
@@ -438,7 +438,7 @@ func TestOversubscribedHandoff(t *testing.T) {
 		wg.Add(1)
 		go func(i int, w *Waiter) {
 			defer wg.Done()
-			st.Sleep(w)
+			st.Sleep(w, nil)
 			sum.Add(1)
 			if i+1 < n {
 				cells[i+1].Wake()

@@ -24,7 +24,7 @@ func TestSignalSetThenWait(t *testing.T) {
 			s.set()
 			done := make(chan struct{})
 			go func() {
-				s.wait(st)
+				s.wait(st, nil)
 				close(done)
 			}()
 			select {
@@ -42,7 +42,7 @@ func TestSignalWaitThenSet(t *testing.T) {
 			var s signal
 			done := make(chan struct{})
 			go func() {
-				s.wait(st)
+				s.wait(st, nil)
 				close(done)
 			}()
 			select {
@@ -77,7 +77,7 @@ func TestSignalReExecutedWaitAfterAbandonment(t *testing.T) {
 			<-abandoned
 			done := make(chan struct{})
 			go func() {
-				s.wait(st) // the recovered process re-executes wait()
+				s.wait(st, nil) // the recovered process re-executes wait()
 				close(done)
 			}()
 			time.Sleep(10 * time.Millisecond)
@@ -97,7 +97,7 @@ func TestSignalForceSet(t *testing.T) {
 	if !s.isSet() {
 		t.Fatal("forceSet did not set")
 	}
-	s.wait(wait.Yield()) // must return immediately (same goroutine: would hang otherwise)
+	s.wait(wait.Yield(), nil) // must return immediately (same goroutine: would hang otherwise)
 }
 
 func TestRLockMutualExclusion(t *testing.T) {
@@ -361,5 +361,60 @@ func TestTreePathTable(t *testing.T) {
 				div *= tm.arity
 			}
 		}
+	}
+}
+
+// TestDispatchRunQueueLaggingConsumer pins the run queue's overflow check
+// against a consumer preempted between its head CAS and its seq store. That
+// consumer leaves its slot's sequence one lap behind while the ring has
+// room, and a producer that laps onto the slot must wait for the store —
+// not report overflow — and FIFO order must survive the wait.
+func TestDispatchRunQueueLaggingConsumer(t *testing.T) {
+	var q runQueue
+	q.init(2)
+	a, b := new(lockShard), new(lockShard)
+	q.enqueue(a)
+	// A consumer claims a (wins the head CAS) and is preempted before it
+	// stores the slot's sequence.
+	if !q.head.CompareAndSwap(0, 1) {
+		t.Fatal("head CAS failed on a one-entry queue")
+	}
+	slot := &q.slots[0]
+	if slot.sh != a {
+		t.Fatal("slot 0 does not hold the first enqueue")
+	}
+	q.enqueue(b)
+	if got := q.dequeue(); got != b {
+		t.Fatalf("dequeue = %p, want b (%p)", got, b)
+	}
+	// One stripe is claimed, none queued: the ring has room, but the next
+	// enqueue laps onto the lagging consumer's slot.
+	enqueued := make(chan any, 1)
+	go func() {
+		defer func() { enqueued <- recover() }()
+		q.enqueue(b)
+	}()
+	select {
+	case r := <-enqueued:
+		t.Fatalf("enqueue completed before the lagging consumer's store (panic: %v)", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+	// The lagging consumer finishes its dequeue of position 0, freeing the
+	// slot for position 0+size.
+	slot.sh = nil
+	slot.seq.Store(q.mask + 1)
+	select {
+	case r := <-enqueued:
+		if r != nil {
+			t.Fatalf("enqueue panicked: %v", r)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("enqueue never completed after the lagging consumer's store")
+	}
+	if got := q.dequeue(); got != b {
+		t.Fatalf("dequeue = %p, want b (%p)", got, b)
+	}
+	if got := q.dequeue(); got != nil {
+		t.Fatalf("dequeue on an empty queue = %p", got)
 	}
 }

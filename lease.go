@@ -2,8 +2,8 @@ package rme
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/rmelib/rme/internal/wait"
 )
@@ -157,38 +157,36 @@ func (p *PortLeaser) TryAcquire() (l PortLease, ok bool) {
 	return PortLease{}, false
 }
 
-// Acquire claims a free port, waiting for one to be released (or
-// reclaimed) if all are currently leased. Blocked acquirers park on the
-// wait engine's multi-waiter chain under the leaser's wait strategy —
-// every Release (and every port a reclaim sweep frees) hands out exactly
-// one wake — so a queue of acquirers costs wakes, not burned scheduler
-// quanta. The wait allocates nothing once the chain's node free list is
-// warm. Liveness depends on orphans being reclaimed: if every port is
-// orphaned and nobody sweeps, Acquire parks forever — run ReclaimOrphans
-// from the same supervisor that observes worker deaths.
+// Acquire is AcquireDone with a nil done: it claims a free port, waiting
+// as long as it takes.
 func (p *PortLeaser) Acquire() PortLease {
-	for {
-		if l, ok := p.TryAcquire(); ok {
-			return l
-		}
-		p.chain.Wait(p.strat, p.freeCond)
-	}
+	l, _ := p.AcquireDone(nil)
+	return l
 }
 
-// AcquireDone is Acquire with a cancellation channel: it returns ok=false
-// if done closes while every port is leased. The cancel path inherits the
-// wait engine's no-lost-wake contract — a cancelled waiter that was already
-// handed a Release's wake forwards it to the next parked acquirer (see
-// wait.Chain.WaitDone) — so abandoning an acquisition can never strand a
-// free port behind a dropped wake. A cancellation returns immediately
-// without a final scan: done closing is a deadline, and the caller asked
-// not to take a port past it.
+// AcquireDone claims a free port, waiting for one to be released (or
+// reclaimed) if all are currently leased, and returns ok=false if done
+// closes first (a nil done never does). Blocked acquirers park on the wait
+// engine's multi-waiter chain under the leaser's wait strategy — every
+// Release (and every port a reclaim sweep frees) hands out exactly one
+// wake — so a queue of acquirers costs wakes, not burned scheduler quanta.
+// The wait allocates nothing once the chain's node free list is warm.
+// Liveness depends on orphans being reclaimed: if every port is orphaned
+// and nobody sweeps, an uncancellable acquire parks forever — run
+// ReclaimOrphans from the same supervisor that observes worker deaths.
+//
+// The cancel path inherits the wait engine's no-lost-wake contract — a
+// cancelled waiter that was already handed a Release's wake forwards it to
+// the next parked acquirer (see wait.Chain.Wait) — so abandoning an
+// acquisition can never strand a free port behind a dropped wake. A
+// cancellation returns immediately without a final scan: done closing is a
+// deadline, and the caller asked not to take a port past it.
 func (p *PortLeaser) AcquireDone(done <-chan struct{}) (PortLease, bool) {
 	for {
 		if l, ok := p.TryAcquire(); ok {
 			return l, true
 		}
-		if !p.chain.WaitDone(p.strat, p.freeCond, done) {
+		if !p.chain.Wait(p.strat, p.freeCond, done) {
 			return PortLease{}, false
 		}
 	}
@@ -290,9 +288,9 @@ func (p *PortLeaser) InUse() int {
 	return n
 }
 
-// ReclaimOrphans sweeps the table once: every port found orphaned is
-// claimed, recovered by recoverPort, and returned to the free pool. It
-// returns the number of ports reclaimed.
+// ReclaimOrphans sweeps the leaser: every port found orphaned is claimed,
+// recovered by recoverPort, and returned to the free pool. It returns the
+// number of ports reclaimed.
 //
 // Claiming happens for all orphans before any recovery completes, and the
 // recoveries run concurrently (one goroutine each): a recovery typically
@@ -302,33 +300,70 @@ func (p *PortLeaser) InUse() int {
 // and must not panic — retry injected crashes internally (LockTable's
 // sweep shows the pattern).
 //
+// While its recoveries run, the sweep keeps claiming: every reclaimRescan
+// it claims the ports orphaned since its last claim pass and recovers them
+// too, and it returns only when every port it claimed is recovered. A
+// claimed recovery can be queued behind such a late orphan, and nothing
+// else may be sweeping, so a sweep that only waited for its first claims
+// could block forever. The count returned includes the late claims.
+// Concurrent sweeps never claim the same port (the claim is a CAS on the
+// epoch-stamped word).
+//
 // The same claim-everything-first discipline must extend across pools
 // when a sweep spans several (one tenancy can die holding several pools'
 // ports — a LockTable batch — and their recoveries can depend on each
 // other through the locks' queues); that is why LockTable.ReclaimWith
-// drives the split claimOrphans/finishReclaim phases directly instead of
+// runs the same sweep loop over every shard's pool at once instead of
 // calling this per shard.
-//
-// Ports orphaned after the sweep's claim pass are left for the next sweep;
-// concurrent sweeps never claim the same port (the claim is a CAS on the
-// epoch-stamped word).
 func (p *PortLeaser) ReclaimOrphans(recoverPort func(port int)) int {
-	claimed := p.claimOrphans(nil)
-	if len(claimed) == 0 {
+	return reclaimSweep(p.claimOrphans, func(l PortLease) {
+		recoverPort(l.Port)
+		p.finishReclaim(l)
+	})
+}
+
+// reclaimSweep is the one reclaim loop behind ReclaimOrphans and
+// LockTable.ReclaimWith. claim appends every orphan it wins to dst; heal
+// runs one claim's recovery to completion and returns its port to the
+// pool. A pass claims everything before any of its recoveries starts, the
+// recoveries run in parallel (one goroutine each), and while any is still
+// running the loop claims again every reclaimRescan and heals what it finds.
+// It returns the number of claims healed.
+func reclaimSweep[C any](claim func(dst []C) []C, heal func(C)) int {
+	claims := claim(nil)
+	if len(claims) == 0 {
 		return 0
 	}
-	var wg sync.WaitGroup
-	for _, l := range claimed {
-		wg.Add(1)
-		go func(l PortLease) {
-			defer wg.Done()
-			recoverPort(l.Port)
-			p.finishReclaim(l)
-		}(l)
+	healed := make(chan struct{})
+	healAll := func(batch []C) {
+		for _, c := range batch {
+			go func(c C) {
+				heal(c)
+				healed <- struct{}{}
+			}(c)
+		}
 	}
-	wg.Wait()
-	return len(claimed)
+	healAll(claims)
+	total, pending := len(claims), len(claims)
+	rescan := time.NewTicker(reclaimRescan)
+	defer rescan.Stop()
+	for pending > 0 {
+		select {
+		case <-healed:
+			pending--
+		case <-rescan.C:
+			claims = claim(claims[:0])
+			healAll(claims)
+			total += len(claims)
+			pending += len(claims)
+		}
+	}
+	return total
 }
+
+// reclaimRescan is how often a sweep with recoveries still running claims
+// the orphans that appeared since its last claim pass (see reclaimSweep).
+const reclaimRescan = time.Millisecond
 
 // claimOrphans is the claim phase of a reclaim sweep: every orphan whose
 // orphaned→reclaiming CAS this caller wins is appended to dst. The caller

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	rme "github.com/rmelib/rme"
 	"github.com/rmelib/rme/internal/xrand"
@@ -85,6 +86,51 @@ func TestPortLeaserOrphanReclaim(t *testing.T) {
 		t.Fatalf("non-crash panic moved the lease to %v", p.State(l.Port))
 	}
 	p.Release(l)
+}
+
+// TestLeaseReclaimLateOrphan pins the late-orphan wedge on the standalone
+// leaser. A sweep claims port 1, whose recovery Lock is queued behind port
+// 0's critical section, and only then does port 0's holder die. Nothing
+// else is sweeping, so ReclaimOrphans must claim the late orphan while its
+// first recovery is still blocked, instead of waiting on that recovery
+// forever.
+func TestLeaseReclaimLateOrphan(t *testing.T) {
+	p := rme.NewPortLeaser(2)
+	m := rme.New(2)
+	l0 := p.Acquire()
+	m.Lock(l0.Port)
+	l1 := p.Acquire()
+	var armed atomic.Bool
+	armed.Store(true)
+	m.SetCrashFunc(func(port int, point string) bool {
+		return port == l1.Port && point == "L25" && armed.CompareAndSwap(true, false)
+	})
+	if absorbCrash(func() { p.OrphanOnCrash(l1, func() { m.Lock(l1.Port) }) }) {
+		t.Fatal("port 1's Lock survived its armed crash at L25")
+	}
+
+	swept := make(chan int, 1)
+	go func() {
+		swept <- p.ReclaimOrphans(func(port int) {
+			m.Lock(port)
+			m.Unlock(port)
+		})
+	}()
+	waitFor(t, 3*time.Second, "the sweep to claim port 1", func() bool {
+		return p.State(l1.Port) == rme.LeaseReclaiming
+	})
+	p.Orphan(l0) // port 0 dies holding the critical section
+	select {
+	case n := <-swept:
+		if n != 2 {
+			t.Fatalf("ReclaimOrphans = %d, want 2 (the first claim and the late orphan)", n)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("ReclaimOrphans hung on a recovery queued behind a late orphan")
+	}
+	if p.InUse() != 0 || m.Held(l0.Port) || m.Held(l1.Port) {
+		t.Fatalf("after the sweep: %d ports in use, held %v/%v", p.InUse(), m.Held(l0.Port), m.Held(l1.Port))
+	}
 }
 
 // TestLeaseStormRace is the lease layer's -race storm: many more workers

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/rmelib/rme/internal/wait"
 	"github.com/rmelib/rme/internal/xrand"
@@ -105,7 +104,7 @@ type LockTable struct {
 
 // portLock is the contract a shard's lock backend satisfies: a k-ported
 // recoverable lock whose identities are dense ints 0..Ports()-1, with
-// wait-free critical-section re-entry after a crash (Lock on the dead
+// wait-free critical-section re-entry after a crash (LockDone on the dead
 // identity's port recovers its passage), a Held probe for
 // died-in-critical-section detection, and the labeled crash-injection
 // hook. Mutex (ports), TreeMutex (process indices), and MCSMutex (queue
@@ -113,18 +112,19 @@ type LockTable struct {
 // reclaim sweeps, the async and batch pipelines — is written against this
 // surface only, so the shapes are interchangeable per arena.
 type portLock interface {
-	Lock(port int)
 	Unlock(port int)
 	Held(port int) bool
 	Ports() int
 	SetCrashFunc(fn CrashFunc)
-	// LockDone is the abortable acquire: Lock that gives up when done
-	// closes, returning false with the port left exactly as if its worker
-	// had crashed at the abandoned step — so the one recovery story (a
-	// Lock/Unlock pair on the port) also settles aborts. Each backend
-	// implements the fix-up it already owns: flat runs its queue repair,
-	// tree re-climbs and unwinds under the phase cursor, MCS repairs the
-	// O(1) neighborhood of the abandoned node.
+	// LockDone is the one acquire: it takes the critical section through
+	// port, running whatever recovery the port's previous passage owes, and
+	// returns true; or, if done closes (a nil done never does), it gives up
+	// and returns false with the port left exactly as if its worker had
+	// crashed at the abandoned step — so the one recovery story (a
+	// LockDone(port, nil)/Unlock pair on the port) also settles aborts.
+	// Each backend implements the fix-up it already owns: flat runs its
+	// queue repair, tree re-climbs and unwinds under the phase cursor, MCS
+	// repairs the O(1) neighborhood of the abandoned node.
 	LockDone(port int, done <-chan struct{}) bool
 	// freeHint reports whether an arrival at port would currently acquire
 	// without queuing — the racy fast-reject probe TryLock uses to keep
@@ -537,19 +537,37 @@ func StringKey(s string) uint64 {
 // stripe — a second key of an already-held stripe deadlocks the caller
 // against itself (see the striping notes on LockTable).
 func (t *LockTable) Lock(key uint64) {
-	sh := t.shardOf(key)
-	l := sh.pool.Acquire()
-	sh.key[l.Port].Store(key)
-	sh.lockPort(l)
+	t.shardOf(key).lock(t, key, nil)
 }
 
-// lockPort runs the port's recoverable Lock under the orphan-on-crash
-// guard (named methods so the defers are open-coded: the crash-free keyed
-// passage must not allocate).
-func (sh *lockShard) lockPort(l PortLease) {
+// lock is the stripe's one acquisition routine, behind Lock, LockContext,
+// async delivery and the batch walk: lease a port, register key on it, and
+// run the port's LockDone under the orphan-on-crash guard. A nil done waits
+// as long as it takes. If done closes first, lock returns false holding
+// nothing: a cancelled lease wait took no port, and a cancelled lock wait
+// hands its port to the abort fix-up.
+func (sh *lockShard) lock(t *LockTable, key uint64, done <-chan struct{}) (PortLease, bool) {
+	l, ok := sh.pool.AcquireDone(done)
+	if !ok {
+		return l, false
+	}
+	return l, sh.lockLeased(t, l, key, done)
+}
+
+// lockLeased is lock's tail on a port already leased, shared with
+// TryLock's probe front: register key, run the port's LockDone under the
+// orphan-on-crash guard (a named method so the defer is open-coded: the
+// crash-free keyed passage must not allocate), and count the acquire — or,
+// on cancellation, retire the tenancy through abortTenancy.
+func (sh *lockShard) lockLeased(t *LockTable, l PortLease, key uint64, done <-chan struct{}) bool {
 	defer sh.pool.orphanGuard(l)
-	sh.lk.Lock(l.Port)
+	sh.key[l.Port].Store(key)
+	if !sh.lk.LockDone(l.Port, done) {
+		sh.abortTenancy(t, l)
+		return false
+	}
 	sh.acquires.Add(1)
+	return true
 }
 
 func (sh *lockShard) unlockPort(l PortLease) {
@@ -580,20 +598,17 @@ var closedChan = func() chan struct{} {
 // background); the miss report is unaffected.
 func (t *LockTable) TryLock(key uint64) bool {
 	sh := t.shardOf(key)
+	// TryAcquire, not AcquireDone(closedChan): a miss must not register on
+	// the lease pool's waiter chain.
 	l, ok := sh.pool.TryAcquire()
 	if !ok {
 		return false
 	}
-	sh.key[l.Port].Store(key)
 	if !sh.lk.freeHint(l.Port) {
 		sh.pool.Release(l)
 		return false
 	}
-	if !sh.lockPortDone(l, closedChan) {
-		sh.abortTenancy(t, l)
-		return false
-	}
-	return true
+	return sh.lockLeased(t, l, key, closedChan)
 }
 
 // LockContext acquires the lock for key like Lock, but gives up when ctx
@@ -609,42 +624,20 @@ func (t *LockTable) TryLock(key uint64) bool {
 // (the cooperative-abort model of Jayanti–Jayanti's abortable mutex line):
 // the stripe's queue is fixed up in the background and the port returns to
 // the lease pool without any Reclaim call. Sheds are counted per stripe in
-// ShardStats.Aborts/Timeouts. Contexts that cannot be cancelled (no
-// deadline, no cancel) take the plain Lock path unchanged; abort-free
-// passages allocate nothing once the shard's pools are warm, under the
-// same WithNodePool condition as Lock.
+// ShardStats.Aborts/Timeouts. A context that cannot be cancelled (no
+// deadline, no cancel) has a nil Done channel and runs Lock's path
+// exactly; abort-free passages allocate nothing once the shard's pools are
+// warm, under the same WithNodePool condition as Lock.
 func (t *LockTable) LockContext(ctx context.Context, key uint64) error {
 	sh := t.shardOf(key)
 	if err := ctx.Err(); err != nil {
 		sh.noteShed(err)
 		return err
 	}
-	done := ctx.Done()
-	if done == nil {
-		t.Lock(key)
-		return nil
-	}
-	l, ok := sh.pool.AcquireDone(done)
-	if !ok {
-		return sh.shed(ctx)
-	}
-	sh.key[l.Port].Store(key)
-	if !sh.lockPortDone(l, done) {
-		sh.abortTenancy(t, l)
+	if _, ok := sh.lock(t, key, ctx.Done()); !ok {
 		return sh.shed(ctx)
 	}
 	return nil
-}
-
-// lockPortDone runs the port's abortable Lock under the orphan-on-crash
-// guard, bumping the stripe's acquire counter only when the lock was won.
-func (sh *lockShard) lockPortDone(l PortLease, done <-chan struct{}) bool {
-	defer sh.pool.orphanGuard(l)
-	if !sh.lk.LockDone(l.Port, done) {
-		return false
-	}
-	sh.acquires.Add(1)
-	return true
 }
 
 // shed records a cancelled acquisition on the stripe and returns the error
@@ -708,7 +701,7 @@ func (sh *lockShard) reclaimAborted(l PortLease) {
 // and abort fix-ups all run it on a claimed (reclaiming) lease.
 func (sh *lockShard) recoverPort(port int) {
 	for {
-		if crashes(func() { sh.lk.Lock(port) }) {
+		if crashes(func() { sh.lk.LockDone(port, nil) }) {
 			continue
 		}
 		if !crashes(func() { sh.lk.Unlock(port) }) {
@@ -873,62 +866,41 @@ func (t *LockTable) Reclaim() int { return t.ReclaimWith(nil) }
 // supervisor that caught the Crash panic. An unreclaimed orphan can stall
 // every key of its stripe.
 func (t *LockTable) ReclaimWith(fn func(key uint64, inCS bool)) int {
-	claims := t.claimOrphans(nil)
-	if len(claims) == 0 {
-		return 0
-	}
-	done := make(chan struct{})
-	recoverAll := func(batch []shardClaim) {
-		for _, c := range batch {
-			go func(c shardClaim) {
-				sh, port := c.sh, c.l.Port
-				if fn != nil {
-					fn(sh.key[port].Load(), sh.lk.Held(port))
-				}
-				sh.recoverPort(port)
-				sh.pool.finishReclaim(c.l)
-				done <- struct{}{}
-			}(c)
-		}
-	}
-	recoverAll(claims)
-	total, pending := len(claims), len(claims)
-	rescan := time.NewTicker(reclaimRescan)
-	defer rescan.Stop()
-	for pending > 0 {
-		select {
-		case <-done:
-			pending--
-		case <-rescan.C:
-			claims = t.claimOrphans(claims[:0])
-			recoverAll(claims)
-			total += len(claims)
-			pending += len(claims)
-		}
-	}
-	return total
+	claim := func(dst []shardClaim) []shardClaim { return t.claimOrphans(dst, fn) }
+	return reclaimSweep(claim, shardClaim.heal)
 }
 
-// reclaimRescan is how often a sweep with recoveries still running claims
-// the orphans that appeared since its last claim pass (see ReclaimWith).
-const reclaimRescan = time.Millisecond
-
-// shardClaim is one port a sweep claimed: its stripe and its lease.
+// shardClaim is one port a sweep claimed: its stripe, its lease, and the
+// sweep's ReclaimWith callback (nil for none). Carrying the callback in
+// the claim keeps heal a plain method, so the sweep allocates no closure
+// for it.
 type shardClaim struct {
 	sh *lockShard
 	l  PortLease
+	fn func(key uint64, inCS bool)
+}
+
+// heal reports the claim to the sweep's callback, runs the port's
+// recovery, and returns the port to the pool.
+func (c shardClaim) heal() {
+	sh, port := c.sh, c.l.Port
+	if c.fn != nil {
+		c.fn(sh.key[port].Load(), sh.lk.Held(port))
+	}
+	sh.recoverPort(port)
+	sh.pool.finishReclaim(c.l)
 }
 
 // claimOrphans is a sweep's claim phase over every shard: each orphan
-// whose orphaned→reclaiming CAS this caller wins is appended to dst. The
-// caller owes each claim a recovery followed by finishReclaim.
-func (t *LockTable) claimOrphans(dst []shardClaim) []shardClaim {
+// whose orphaned→reclaiming CAS this caller wins is appended to dst,
+// carrying fn. The caller owes each claim its heal.
+func (t *LockTable) claimOrphans(dst []shardClaim, fn func(key uint64, inCS bool)) []shardClaim {
 	var scratch []PortLease
 	for i := range t.shards {
 		sh := &t.shards[i]
 		scratch = sh.pool.claimOrphans(scratch[:0])
 		for _, l := range scratch {
-			dst = append(dst, shardClaim{sh: sh, l: l})
+			dst = append(dst, shardClaim{sh: sh, l: l, fn: fn})
 		}
 	}
 	return dst

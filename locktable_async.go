@@ -442,15 +442,7 @@ func (t *LockTable) deliver(sh *lockShard, r *asyncReq) {
 		}
 	}
 	var l PortLease
-	for {
-		crashed := crashes(func() {
-			l = sh.pool.Acquire()
-			sh.key[l.Port].Store(r.key)
-			sh.lockPort(l)
-		})
-		if !crashed {
-			break
-		}
+	for crashes(func() { l, _ = sh.lock(t, r.key, nil) }) {
 		t.Reclaim()
 	}
 	// The tenancy is held: the request's pending count hands over to

@@ -101,14 +101,10 @@ func (t *LockTable) LockBatchContext(ctx context.Context, keys []uint64) (*Batch
 		t.shardOf(keys[0]).noteShed(err)
 		return nil, err
 	}
-	done := ctx.Done()
-	if done == nil {
-		return t.LockBatch(keys), nil
-	}
 	b := t.getBatch()
 	b.keys = append(b.keys[:0], keys...)
 	b.prepare()
-	shedSh := b.lockAllDone(done)
+	shedSh := b.lockAll(ctx.Done())
 	if shedSh == nil {
 		return b, nil
 	}
@@ -134,7 +130,7 @@ func (t *LockTable) checkBatch(n int) {
 // b.keys: stripe mapping, (stripe, key) sort, and the guarded walk.
 func (t *LockTable) lockPrepared(b *Batch) *Batch {
 	b.prepare()
-	b.lockAll()
+	b.lockAll(nil)
 	return b
 }
 
@@ -152,9 +148,17 @@ func (b *Batch) prepare() {
 	b.released = 0
 }
 
-// lockAll acquires one tenancy per stripe run, under a guard that orphans
-// every held stripe if the worker dies mid-batch.
-func (b *Batch) lockAll() {
+// lockAll acquires one tenancy per stripe run through the stripe's lock
+// routine, giving up if done closes (a nil done never does). It returns
+// nil once every run is held, or the stripe on which the walk gave up (for
+// the caller's shed accounting); that stripe holds nothing — lock retired
+// its tenancy — and the caller owns releasing the stripes acquired before
+// it.
+//
+// A worker that dies mid-walk orphans every stripe it holds: the
+// interrupted stripe through lock's own per-port guard, the ones already
+// in b.stripes through this walk's deferred guard.
+func (b *Batch) lockAll(done <-chan struct{}) *lockShard {
 	defer b.orphanHeldOnCrash()
 	i := 0
 	for i < len(b.keys) {
@@ -163,51 +167,15 @@ func (b *Batch) lockAll() {
 			j++
 		}
 		sh := &b.t.shards[b.shard[i]]
-		l := sh.pool.Acquire()
 		// Register the run's first key as the tenancy's key: Held and
 		// ReclaimWith report a stripe-representative key for batch
 		// tenancies, the same way a striped Lock reports the key it was
 		// called with rather than every key it excludes.
-		sh.key[l.Port].Store(b.keys[i])
-		// Record before locking: a crash inside Lock must find this
-		// stripe in the held set.
-		b.stripes = append(b.stripes, batchStripe{sh: sh, l: l})
-		sh.lk.Lock(l.Port)
-		sh.acquires.Add(1)
-		i = j
-	}
-}
-
-// lockAllDone is lockAll with a cancellation channel. It returns nil once
-// every stripe run is held, or the stripe on which the walk gave up (for
-// the caller's shed accounting) with that stripe's tenancy already handed
-// to the abort fix-up and removed from the held set; the caller owns
-// releasing the stripes acquired before it. The crash guard covers the
-// walk the same as lockAll's.
-func (b *Batch) lockAllDone(done <-chan struct{}) *lockShard {
-	defer b.orphanHeldOnCrash()
-	i := 0
-	for i < len(b.keys) {
-		j := i + 1
-		for j < len(b.keys) && b.shard[j] == b.shard[i] {
-			j++
-		}
-		sh := &b.t.shards[b.shard[i]]
-		l, ok := sh.pool.AcquireDone(done)
+		l, ok := sh.lock(b.t, b.keys[i], done)
 		if !ok {
 			return sh
 		}
-		sh.key[l.Port].Store(b.keys[i])
 		b.stripes = append(b.stripes, batchStripe{sh: sh, l: l})
-		if !sh.lk.LockDone(l.Port, done) {
-			// The aborted stripe repairs itself; drop it from the held set
-			// so neither the crash guard nor the caller's unwind touches
-			// its (now reclaiming) lease.
-			sh.abortTenancy(b.t, l)
-			b.stripes = b.stripes[:len(b.stripes)-1]
-			return sh
-		}
-		sh.acquires.Add(1)
 		i = j
 	}
 	return nil

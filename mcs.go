@@ -227,20 +227,15 @@ func (m *MCSMutex) cp(port int, point string) {
 // like Mutex.CrashPoint.
 func (m *MCSMutex) CrashPoint(port int, point string) { m.cp(port, point) }
 
-// lockDesc acquires the enqueue descriptor for the passage (port, epoch).
+// lockDesc acquires the enqueue descriptor for the passage (port, epoch)
+// and reports true, or false if done closed first (a nil done never does).
 // A plain test-and-set spin: the descriptor's critical sections are three
 // or four stores long, so the wait is momentary unless the holder died —
 // in which case the spinner is waiting for a reclaim sweep, exactly as a
-// queued waiter behind a dead node is.
-func (m *MCSMutex) lockDesc(port int, epoch uint64) {
-	m.lockDescDone(port, epoch, nil)
-}
-
-// lockDescDone is lockDesc with a cancellation channel (nil = wait
-// forever): it reports whether the descriptor was acquired. A false return
-// leaves nothing engaged — the CAS never landed — so the caller's enqueue
-// provably never committed.
-func (m *MCSMutex) lockDescDone(port int, epoch uint64, done <-chan struct{}) bool {
+// queued waiter behind a dead node is. A false return leaves nothing
+// engaged — the CAS never landed — so the caller's enqueue provably never
+// committed.
+func (m *MCSMutex) lockDesc(port int, epoch uint64, done <-chan struct{}) bool {
 	ref := mcsRef(port, epoch)
 	for i := 0; !m.enq.CompareAndSwap(0, ref); i++ {
 		if done != nil {
@@ -259,12 +254,33 @@ func (m *MCSMutex) lockDescDone(port int, epoch uint64, done <-chan struct{}) bo
 
 func (m *MCSMutex) unlockDesc() { m.enq.Store(0) }
 
-// Lock acquires the critical section for port. Like Mutex.Lock it doubles
-// as the recovery entry point: called on a port whose previous passage
-// crashed, it resumes that passage — wait-free return if the dead owner
-// held the critical section, O(1) neighborhood repair otherwise — instead
-// of starting a fresh one.
-func (m *MCSMutex) Lock(port int) {
+// Lock is LockDone with a nil done: it acquires the critical section for
+// port, waiting as long as it takes.
+func (m *MCSMutex) Lock(port int) { m.LockDone(port, nil) }
+
+// LockDone acquires the critical section for port and returns true, or
+// returns false if done closed first (a nil done never does). Like
+// Mutex.LockDone it doubles as the recovery entry point: called on a port
+// whose previous passage crashed, it resumes that passage — wait-free
+// return if the dead owner held the critical section, O(1) neighborhood
+// repair otherwise — instead of starting a fresh one. Recovery passages are
+// not cancellable and return true.
+//
+// Cancellation of a fresh passage can land in two windows, each left
+// exactly as the matching crash:
+//
+//   - Spinning for the enqueue descriptor: the attempt never engaged the
+//     queue. The phase word stays at the uncommitted mcsEnq, and recovery
+//     (recoverEnqueue, not holding the descriptor) restarts the enqueue
+//     from scratch — the descriptor-holder-death invariants extend to a
+//     holder that aborts because an aborting spinner never held it at all.
+//   - Waiting for the grant: the passage stays linked in mcsWait (a crash
+//     at M.wait), and recovery is the O(1) neighborhood repair. A grant
+//     racing the cancellation is taken, not dropped (see linkAndWait).
+//
+// Either way the port owes the standard recovery Lock (the LockTable's
+// abort path runs it from the departing caller) before any fresh passage.
+func (m *MCSMutex) LockDone(port int, done <-chan struct{}) bool {
 	m.checkPort(port)
 	n := &m.nodes[port]
 	w := n.word.Load()
@@ -272,7 +288,7 @@ func (m *MCSMutex) Lock(port int) {
 	// Every descriptor section ends with a phase store and then the
 	// descriptor release. A crash between those two leaves enq carrying
 	// this port's passage ref with the section's work fully committed; free
-	// it here so the recovery below (and every other port) can proceed. A
+	// it here so the passage below (and every other port) can proceed. A
 	// ref found while the phase still reads mid-section (mcsEnq, mcsRel) is
 	// not a leak — the section itself is unfinished, and its recovery
 	// resumes it while still holding the descriptor.
@@ -282,7 +298,7 @@ func (m *MCSMutex) Lock(port int) {
 	}
 	switch w & mcsPhaseMask {
 	case mcsIdle:
-		m.acquire(port, epoch+1)
+		return m.acquire(port, epoch+1, done)
 	case mcsEnq:
 		m.recoverEnqueue(port, epoch)
 	case mcsWait:
@@ -295,43 +311,9 @@ func (m *MCSMutex) Lock(port int) {
 		// fresh acquisition so Lock returns holding the critical section
 		// (the contract ReclaimWith's Lock-then-Unlock loop relies on).
 		m.completeRelease(port, epoch)
-		m.acquire(port, epoch+1)
+		m.acquire(port, epoch+1, nil)
 	}
-}
-
-// LockDone is Lock with a cancellation channel: it returns true once port
-// holds the critical section, or false if done closed first. Cancellation
-// can land in two windows, each left exactly as the matching crash:
-//
-//   - Spinning for the enqueue descriptor: the attempt never engaged the
-//     queue. The phase word stays at the uncommitted mcsEnq, and recovery
-//     (recoverEnqueue, not holding the descriptor) restarts the enqueue
-//     from scratch — the descriptor-holder-death invariants extend to a
-//     holder that aborts because an aborting spinner never held it at all.
-//   - Waiting for the grant: the passage stays linked in mcsWait (a crash
-//     at M.wait), and recovery is the O(1) neighborhood repair. A grant
-//     racing the cancellation is taken, not dropped (see linkAndWaitDone).
-//
-// Either way the port owes the standard recovery Lock (the LockTable's
-// abort path runs it from the departing caller) before any fresh passage.
-// Recovery passages themselves are not cancellable and return true.
-func (m *MCSMutex) LockDone(port int, done <-chan struct{}) bool {
-	m.checkPort(port)
-	n := &m.nodes[port]
-	w := n.word.Load()
-	if w&mcsPhaseMask != mcsIdle {
-		m.Lock(port) // recovery: run the interrupted passage to completion
-		return true
-	}
-	epoch := w >> mcsPhaseBits
-	// Same stale-descriptor release as Lock's entry: a previous execution
-	// that died between its final phase store and its descriptor release
-	// left enq carrying this port's committed section; free it before the
-	// fresh enqueue spins on it.
-	if m.enq.Load() == mcsRef(port, epoch) {
-		m.unlockDesc()
-	}
-	return m.acquireDone(port, epoch+1, done)
+	return true
 }
 
 // freeHint reports whether an arrival at port would currently acquire
@@ -341,14 +323,9 @@ func (m *MCSMutex) freeHint(int) bool {
 	return m.tail.Load() == 0 && m.enq.Load() == 0
 }
 
-// acquire runs a fresh passage with the given (new) epoch.
-func (m *MCSMutex) acquire(port int, epoch uint64) {
-	m.acquireDone(port, epoch, nil)
-}
-
-// acquireDone runs a fresh passage with the given (new) epoch, cancellable
+// acquire runs a fresh passage with the given (new) epoch, cancellable
 // through done (nil = wait forever).
-func (m *MCSMutex) acquireDone(port int, epoch uint64, done <-chan struct{}) bool {
+func (m *MCSMutex) acquire(port int, epoch uint64, done <-chan struct{}) bool {
 	n := &m.nodes[port]
 	// Reset the successor link before this passage's ref can reach tail.
 	// No stale linker can race this store: a successor of the previous
@@ -358,31 +335,27 @@ func (m *MCSMutex) acquireDone(port int, epoch uint64, done <-chan struct{}) boo
 	n.next.Store(0)
 	n.word.Store(mcsWord(epoch, mcsEnq))
 	m.cp(port, "M.enq")
-	if !m.lockDescDone(port, epoch, done) {
+	if !m.lockDesc(port, epoch, done) {
 		// Cancelled spinning for the descriptor: the enqueue never
 		// committed (the phase reads mcsEnq, the descriptor was never
 		// ours), which is exactly a crash at M.enq.
 		m.cp(port, "M.abort.enq")
 		return false
 	}
-	return m.enqCommitDone(port, epoch, done)
+	return m.enqCommit(port, epoch, done)
 }
 
 // enqCommit runs the descriptor section of an enqueue — record pred, swing
 // tail, commit the phase — and then the post-descriptor half of the
-// passage. Entered with the descriptor held; shared verbatim by the live
-// path and descriptor-holder crash recovery because every step is
-// idempotent under the frozen tail (see the type comment).
-func (m *MCSMutex) enqCommit(port int, epoch uint64) {
-	m.enqCommitDone(port, epoch, nil)
-}
-
-// enqCommitDone is enqCommit with a cancellation channel (nil = wait
-// forever). The descriptor section itself always runs to completion — its
-// steps are momentary stores, and committing the phase before releasing
-// the descriptor is what keeps every crash window decidable — so
-// cancellation can only land in the post-descriptor grant wait.
-func (m *MCSMutex) enqCommitDone(port int, epoch uint64, done <-chan struct{}) bool {
+// passage, cancellable through done (nil = wait forever). Entered with the
+// descriptor held; shared verbatim by the live path and descriptor-holder
+// crash recovery because every step is idempotent under the frozen tail
+// (see the type comment). The descriptor section itself always runs to
+// completion — its steps are momentary stores, and committing the phase
+// before releasing the descriptor is what keeps every crash window
+// decidable — so cancellation can only land in the post-descriptor grant
+// wait.
+func (m *MCSMutex) enqCommit(port int, epoch uint64, done <-chan struct{}) bool {
 	n := &m.nodes[port]
 	ref := mcsRef(port, epoch)
 	if m.tail.Load() != ref {
@@ -401,7 +374,7 @@ func (m *MCSMutex) enqCommitDone(port int, epoch uint64, done <-chan struct{}) b
 	n.word.Store(mcsWord(epoch, mcsWait))
 	m.unlockDesc()
 	m.cp(port, "M.link")
-	return m.linkAndWaitDone(port, epoch, pred, done)
+	return m.linkAndWait(port, epoch, pred, done)
 }
 
 // recoverEnqueue resumes a passage that died in mcsEnq. Phase mcsEnq
@@ -416,33 +389,28 @@ func (m *MCSMutex) recoverEnqueue(port int, epoch uint64) {
 		// Died holding the descriptor: resume its section. enqCommit
 		// re-derives every intermediate from the frozen tail, so it does
 		// not matter which store the dead goroutine got to.
-		m.enqCommit(port, epoch)
+		m.enqCommit(port, epoch, nil)
 		return
 	}
 	// Never committed: restart the enqueue. The node's next was already
 	// reset by the dead attempt (or is about to be re-reset, harmlessly —
 	// nothing referenced this passage yet).
-	m.acquire(port, epoch)
+	m.acquire(port, epoch, nil)
 }
 
 // linkAndWait links this passage as pred's successor and spins — locally,
-// on this node's cell — until the grant arrives. Re-run after a crash it
-// is idempotent: the link CAS fails benignly once the link exists, and the
-// wait condition is the persistent phase word, so a grant delivered while
-// the port was dead is simply observed.
-func (m *MCSMutex) linkAndWait(port int, epoch, pred uint64) {
-	m.linkAndWaitDone(port, epoch, pred, nil)
-}
-
-// linkAndWaitDone is linkAndWait with a cancellation channel (nil = wait
-// forever): it reports whether the grant arrived. A cancelled wait leaves
-// the passage linked in mcsWait — precisely a crash at M.wait — and the
-// final condition re-check inside the cancelled episode means a grant that
-// raced the cancellation is taken, not dropped: the passage ends granted or
-// abandoned, never both. The abandoned node's repair is the existing O(1)
-// neighborhood recovery (recoverWait re-links and re-waits), run by the
-// departing caller's fix-up Lock.
-func (m *MCSMutex) linkAndWaitDone(port int, epoch, pred uint64, done <-chan struct{}) bool {
+// on this node's cell — until the grant arrives, reporting true, or until
+// done closes (nil = wait forever). Re-run after a crash it is idempotent:
+// the link CAS fails benignly once the link exists, and the wait condition
+// is the persistent phase word, so a grant delivered while the port was
+// dead is simply observed. A cancelled wait leaves the passage linked in
+// mcsWait — precisely a crash at M.wait — and the final condition re-check
+// inside the cancelled episode means a grant that raced the cancellation is
+// taken, not dropped: the passage ends granted or abandoned, never both.
+// The abandoned node's repair is the existing O(1) neighborhood recovery
+// (recoverWait re-links and re-waits), run by the departing caller's
+// fix-up Lock.
+func (m *MCSMutex) linkAndWait(port int, epoch, pred uint64, done <-chan struct{}) bool {
 	n := &m.nodes[port]
 	m.nodes[mcsRefPort(pred)].next.CompareAndSwap(0, mcsRef(port, epoch))
 	m.cp(port, "M.wait")
@@ -450,12 +418,7 @@ func (m *MCSMutex) linkAndWaitDone(port int, epoch, pred uint64, done <-chan str
 	if n.word.Load() == granted {
 		return true
 	}
-	cond := func() bool { return n.word.Load() == granted }
-	if done == nil {
-		n.cell.Await(m.strat, cond)
-		return true
-	}
-	if n.cell.AwaitDone(m.strat, cond, done) {
+	if n.cell.AwaitDone(m.strat, func() bool { return n.word.Load() == granted }, done) {
 		return true
 	}
 	m.cp(port, "M.abort.wait")
@@ -475,7 +438,7 @@ func (m *MCSMutex) recoverWait(port int, epoch uint64) {
 	// enqueue goes straight to mcsCS), and the predecessor cannot have
 	// advanced past its grant to us (invariant 4 on the type), so the
 	// re-link targets the same passage of the same port.
-	m.linkAndWait(port, epoch, n.pred.Load())
+	m.linkAndWait(port, epoch, n.pred.Load(), nil)
 }
 
 // Unlock releases the critical section held by port. Like Mutex.Unlock it
@@ -524,7 +487,7 @@ func (m *MCSMutex) completeRelease(port int, epoch uint64) {
 			m.grant(port, epoch, succ)
 			return
 		}
-		m.lockDesc(port, epoch)
+		m.lockDesc(port, epoch, nil)
 	}
 	if succ := n.next.Load(); succ != 0 {
 		// The successor linked after the fast-path check (or while the

@@ -218,16 +218,38 @@ func (n *qnode) recycle() {
 	n.consumed.Store(false)
 }
 
-// Lock acquires the critical section through port (the paper's Try
-// section, lines 10–26). If the port's previous passage was interrupted by
-// a crash, Lock performs the recovery: wait-free re-entry if the crash was
-// inside the CS, queue repair if it broke the queue, completion of an
-// interrupted Unlock otherwise.
-func (m *Mutex) Lock(port int) {
+// Lock is LockDone with a nil done: it acquires the critical section
+// through port, waiting as long as it takes.
+func (m *Mutex) Lock(port int) { m.LockDone(port, nil) }
+
+// LockDone acquires the critical section through port (the paper's Try
+// section, lines 10–26) and returns true, or returns false if done closed
+// while the passage was still queued (a nil done never does). If the
+// port's previous passage was interrupted by a crash, LockDone performs the
+// recovery: wait-free re-entry if the crash was inside the CS, queue repair
+// if it broke the queue, completion of an interrupted Unlock otherwise.
+// Recovery passages are not cancellable — a port whose previous passage
+// crashed runs that recovery to completion and returns true.
+//
+// An abandoned attempt leaves the port exactly as if its goroutine had
+// crashed at the queue wait (the node stays linked, its predecessor edge
+// intact — the paper's crash-at-line-25 state), and the port owes the
+// standard recovery before any fresh passage: a Lock on the same port
+// resumes the abandoned passage, acquires, and a following Unlock releases
+// it. That cooperative crash-and-repair is the whole abort design (the
+// LockTable's abort path runs exactly that from the departing caller);
+// until it runs, successors queued behind the node wait just as they wait
+// behind any crashed port.
+//
+// A wake that races the cancellation counts as acquired: the predecessor's
+// exit signal is re-checked after a cancelled sleep, and a hand-off that
+// landed returns true, so a passage is granted or abandoned, never both.
+func (m *Mutex) LockDone(port int, done <-chan struct{}) bool {
 	m.checkPort(port)
 	for {
 		m.cp(port, "L10")
 		n := m.node[port].Load()
+		var pred *qnode
 		if n == nil {
 			// Fresh passage: enqueue with one FAS.
 			m.cp(port, "L11")
@@ -235,96 +257,50 @@ func (m *Mutex) Lock(port int) {
 			m.cp(port, "L12")
 			m.node[port].Store(n)
 			m.cp(port, "L13")
-			pred := m.tail.Swap(n)
+			pred = m.tail.Swap(n)
 			m.cp(port, "L14")
 			n.pred.Store(pred)
 			m.cp(port, "L15")
 			n.nonNil.set()
-			m.cp(port, "L25")
-			pred.cs.wait(m.strat)
-			m.cp(port, "L26")
-			n.pred.Store(m.incsN)
-			pred.consumed.Store(true)
-			return
+		} else {
+			// Recovery (lines 17–24), never cancelled.
+			done = nil
+			m.cp(port, "L18")
+			if n.pred.Load() == nil {
+				n.pred.Store(m.crashN)
+			}
+			m.cp(port, "L19")
+			pred = n.pred.Load()
+			switch pred {
+			case m.incsN: // line 20: crashed inside the CS
+				return true
+			case m.exitN: // lines 21–22: finish the interrupted exit, retry
+				m.cp(port, "L28")
+				n.cs.set()
+				m.cp(port, "L29")
+				m.node[port].Store(nil)
+				m.pushFree(port, n)
+				continue
+			}
+			m.cp(port, "L23")
+			n.nonNil.set()
+			m.cp(port, "L24")
+			m.rl.lock(m, port)
+			seq := m.repairStarts.Add(1)
+			pred = m.repair(port, n, pred)
+			m.repairEnds.Store(seq)
+			m.rl.unlock(m, port)
 		}
-
-		// Recovery (lines 17–24).
-		m.cp(port, "L18")
-		if n.pred.Load() == nil {
-			n.pred.Store(m.crashN)
-		}
-		m.cp(port, "L19")
-		pred := n.pred.Load()
-		switch pred {
-		case m.incsN: // line 20: crashed inside the CS
-			return
-		case m.exitN: // lines 21–22: finish the interrupted exit, retry
-			m.cp(port, "L28")
-			n.cs.set()
-			m.cp(port, "L29")
-			m.node[port].Store(nil)
-			m.pushFree(port, n)
-			continue
-		}
-		m.cp(port, "L23")
-		n.nonNil.set()
-		m.cp(port, "L24")
-		m.rl.lock(m, port)
-		seq := m.repairStarts.Add(1)
-		pred = m.repair(port, n, pred)
-		m.repairEnds.Store(seq)
-		m.rl.unlock(m, port)
 		m.cp(port, "L25")
-		pred.cs.wait(m.strat)
+		if !pred.cs.wait(m.strat, done) {
+			m.cp(port, "A.wait")
+			return false
+		}
 		m.cp(port, "L26")
 		n.pred.Store(m.incsN)
 		pred.consumed.Store(true)
-		return
-	}
-}
-
-// LockDone is Lock with a cancellation channel: it returns true once port
-// holds the critical section, or false if done closed while the passage was
-// still queued. An abandoned attempt leaves the port exactly as if its
-// goroutine had crashed at the queue wait (the node stays linked, its
-// predecessor edge intact — the paper's crash-at-line-25 state), and the
-// port owes the standard recovery before any fresh passage: a Lock on the
-// same port resumes the abandoned passage, acquires, and a following Unlock
-// releases it. That cooperative crash-and-repair is the whole abort design
-// (the LockTable's abort path runs exactly that from the departing caller);
-// until it runs, successors queued behind the node wait just as they wait
-// behind any crashed port.
-//
-// A wake that races the cancellation counts as acquired: LockDone re-checks
-// the predecessor's exit signal after a cancelled sleep and returns true if
-// the hand-off landed, so a passage is granted or abandoned, never both.
-// Recovery passages are not cancellable — a port whose previous passage
-// crashed runs that recovery to completion and returns true.
-func (m *Mutex) LockDone(port int, done <-chan struct{}) bool {
-	m.checkPort(port)
-	if m.node[port].Load() != nil {
-		m.Lock(port) // recovery: run the interrupted passage to completion
 		return true
 	}
-	m.cp(port, "L11")
-	n := m.getNode(port)
-	m.cp(port, "L12")
-	m.node[port].Store(n)
-	m.cp(port, "L13")
-	pred := m.tail.Swap(n)
-	m.cp(port, "L14")
-	n.pred.Store(pred)
-	m.cp(port, "L15")
-	n.nonNil.set()
-	m.cp(port, "L25")
-	if !pred.cs.waitDone(m.strat, done) {
-		m.cp(port, "A.wait")
-		return false
-	}
-	m.cp(port, "L26")
-	n.pred.Store(m.incsN)
-	pred.consumed.Store(true)
-	return true
 }
 
 // freeHint reports whether an arrival at port would currently acquire
@@ -441,7 +417,7 @@ func (m *Mutex) repair(port int, mynode, mypred *qnode) *qnode {
 			continue
 		}
 		m.cp(port, "L35")
-		cur.nonNil.wait(m.strat)
+		cur.nonNil.wait(m.strat, nil)
 		m.cp(port, "L36")
 		curpred := cur.pred.Load()
 		if m.isSentinel(curpred) {

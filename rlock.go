@@ -144,7 +144,7 @@ func (l *rlock) entry(m *Mutex, port, lvl int) {
 		// spurious wake is harmless).
 		m.cp(port, "R.e5")
 		l.spinPub[r-1][lvl].Wake()
-		l.strat.Sleep(w)
+		l.strat.Sleep(w, nil)
 		w.Consume() // consume the wake, then re-check
 	}
 }

@@ -36,27 +36,18 @@ func (s *signal) set() {
 	s.cell.Wake()
 }
 
-// wait returns once the signal's state is 1 (Figure 2 lines 5–9). Each
-// blocking call opens a fresh generation-stamped episode on the cell's
-// reusable waiter — the zero-allocation equivalent of the paper's
-// fresh-spin-word-per-wait (line 5), and what makes re-execution after a
-// crash safe: a stale wake directed at an abandoned episode carries the
-// old generation and is simply lost (see internal/wait's package comment
-// for the equivalence argument). An already-set signal returns before
-// opening an episode, so neither path allocates.
-func (s *signal) wait(st wait.Strategy) {
-	if s.bit.Load() {
-		return
-	}
-	s.cell.Await(st, s.bit.Load)
-}
-
-// waitDone is wait with a cancellation channel: it reports whether the
-// signal was set by the time it returned. Signal wakes are hints over the
-// persistent bit, so a wake lost to a cancelled (and retired) episode is
-// harmless — the bit stays set, and any later wait on the signal returns
-// immediately off the fast path.
-func (s *signal) waitDone(st wait.Strategy, done <-chan struct{}) bool {
+// wait returns true once the signal's state is 1 (Figure 2 lines 5–9), or
+// false if done closed first (a nil done never does). Each blocking call
+// opens a fresh generation-stamped episode on the cell's reusable waiter —
+// the zero-allocation equivalent of the paper's fresh-spin-word-per-wait
+// (line 5), and what makes re-execution after a crash safe: a stale wake
+// directed at an abandoned episode carries the old generation and is simply
+// lost (see internal/wait's package comment for the equivalence argument).
+// A cancelled wait is the same abandoned episode, and since signal wakes
+// are hints over the persistent bit, a wake it loses is harmless: the bit
+// stays set, and any later wait returns immediately. An already-set signal
+// returns before opening an episode, so neither path allocates.
+func (s *signal) wait(st wait.Strategy, done <-chan struct{}) bool {
 	if s.bit.Load() {
 		return true
 	}

@@ -217,26 +217,13 @@ func (t *TreeMutex) Held(proc int) bool {
 	return t.phase[proc].Load()&tphMask == tphCS
 }
 
-// Lock acquires the outer critical section for proc, performing whatever
-// crash recovery the stable phase word dictates.
-func (t *TreeMutex) Lock(proc int) {
-	t.checkProc(proc)
-	switch word := t.phase[proc].Load(); word & tphMask {
-	case tphCS:
-		return // crashed in the CS: every level is still held
-	case tphDown:
-		// Crashed mid-release: replay from the cursor, then climb afresh.
-		t.replayRelease(proc, decodeTreeDown(word))
-	}
-	t.phase[proc].Store(tphUp)
-	for _, s := range t.path[proc] {
-		s.m.Lock(s.port)
-	}
-	t.phase[proc].Store(tphCS)
-}
+// Lock is LockDone with a nil done: it acquires the outer critical section
+// for proc, waiting as long as it takes.
+func (t *TreeMutex) Lock(proc int) { t.LockDone(proc, nil) }
 
-// LockDone is Lock with a cancellation channel: it returns true once proc
-// holds the outer critical section, or false if done closed mid-climb. An
+// LockDone acquires the outer critical section for proc, performing
+// whatever crash recovery the stable phase word dictates, and returns true —
+// or returns false if done closed mid-climb (a nil done never does). An
 // abandoned climb leaves the phase word at tphUp with every level below the
 // cancelled one still held and the cancelled level's node in its
 // crashed-at-the-wait state — exactly the state a crash at that point
@@ -252,9 +239,9 @@ func (t *TreeMutex) LockDone(proc int, done <-chan struct{}) bool {
 	case tphCS:
 		return true // crashed in the CS: every level is still held
 	case tphUp:
-		t.Lock(proc) // interrupted climb: recovery, run to completion
-		return true
+		done = nil // interrupted climb: re-climb to completion
 	case tphDown:
+		// Crashed mid-release: replay from the cursor, then climb afresh.
 		t.replayRelease(proc, decodeTreeDown(word))
 	}
 	t.phase[proc].Store(tphUp)
