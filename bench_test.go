@@ -333,36 +333,33 @@ func BenchmarkE11InvariantCheck(b *testing.B) {
 
 // BenchmarkE12RuntimeThroughput measures the runtime lock: real goroutines,
 // wall-clock, across worker counts, wait strategies (allStrategies, the
-// same axis cmd/rmebench -json measures), node pooling, and with injected
-// crashes. The strategy-matrix cells yield inside and after the critical
+// same axis cmd/rmebench -json measures), and with injected crashes. The strategy-matrix cells yield inside and after the critical
 // section, like internal/rtbench's workload: a ~100ns CS that never
 // crosses a scheduler boundary is always already unlocked when the next
 // worker runs, and the cell would silently measure sequential fast paths
 // instead of the strategy's handoff machinery.
 func BenchmarkE12RuntimeThroughput(b *testing.B) {
 	for _, s := range allStrategies() {
-		for _, pool := range []bool{false, true} {
-			b.Run(fmt.Sprintf("g4/%s/pool=%v", s.name, pool), func(b *testing.B) {
-				const g = 4
-				m := rme.New(g, rme.WithWaitStrategy(s.st), rme.WithNodePool(pool))
-				b.ReportAllocs()
-				var wg sync.WaitGroup
-				per := b.N / g
-				for w := 0; w < g; w++ {
-					wg.Add(1)
-					go func(port int) {
-						defer wg.Done()
-						for i := 0; i < per; i++ {
-							m.Lock(port)
-							runtime.Gosched() // critical-section work
-							m.Unlock(port)
-							runtime.Gosched() // non-critical-section work
-						}
-					}(w)
-				}
-				wg.Wait()
-			})
-		}
+		b.Run("g4/"+s.name, func(b *testing.B) {
+			const g = 4
+			m := rme.New(g, rme.WithWaitStrategy(s.st))
+			b.ReportAllocs()
+			var wg sync.WaitGroup
+			per := b.N / g
+			for w := 0; w < g; w++ {
+				wg.Add(1)
+				go func(port int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						m.Lock(port)
+						runtime.Gosched() // critical-section work
+						m.Unlock(port)
+						runtime.Gosched() // non-critical-section work
+					}
+				}(w)
+			}
+			wg.Wait()
+		})
 	}
 	for _, g := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("g%d", g), func(b *testing.B) {
@@ -446,25 +443,20 @@ func BenchmarkE12RuntimeThroughput(b *testing.B) {
 }
 
 // BenchmarkE13FastPath measures the crash-free uncontended passage — the
-// paper's O(1)-RMR fast path — with and without node pooling. With pooling
-// the passage must not allocate: the queue node is recycled once its
-// successor consumed it, and an already-set cs signal short-circuits
-// before publishing a spin word.
+// paper's O(1)-RMR fast path. The passage must not allocate: the queue
+// node is recycled once its successor consumed it, and an already-set cs
+// signal short-circuits before publishing a spin word.
 func BenchmarkE13FastPath(b *testing.B) {
-	for _, pool := range []bool{false, true} {
-		b.Run(fmt.Sprintf("pool=%v", pool), func(b *testing.B) {
-			m := rme.New(1, rme.WithNodePool(pool))
-			for i := 0; i < 8; i++ { // warm the free list past its consume lag
-				m.Lock(0)
-				m.Unlock(0)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Lock(0)
-				m.Unlock(0)
-			}
-		})
+	m := rme.New(1)
+	for i := 0; i < 8; i++ { // warm the free list past its consume lag
+		m.Lock(0)
+		m.Unlock(0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Lock(0)
+		m.Unlock(0)
 	}
 }
 
@@ -475,7 +467,7 @@ func BenchmarkE13FastPath(b *testing.B) {
 func BenchmarkE15TreeHandoff(b *testing.B) {
 	for _, n := range []int{8, 16} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			m := rme.NewTree(n, rme.WithNodePool(true), rme.WithTreeInstrumentation(true))
+			m := rme.NewTree(n, rme.WithTreeInstrumentation(true))
 			b.ReportAllocs()
 			var wg sync.WaitGroup
 			per := b.N/n + 1
@@ -547,7 +539,7 @@ func BenchmarkE14Oversubscribed(b *testing.B) {
 			continue
 		}
 		b.Run(s.name, func(b *testing.B) {
-			m := rme.New(ports, rme.WithWaitStrategy(s.st), rme.WithNodePool(true))
+			m := rme.New(ports, rme.WithWaitStrategy(s.st))
 			b.ReportAllocs()
 			var wg sync.WaitGroup
 			per := b.N/ports + 1
@@ -573,8 +565,9 @@ func BenchmarkE14Oversubscribed(b *testing.B) {
 // 32×4 arena — the many-resources workload class the flat benchmarks
 // cannot express. It drives rtbench's exported keyed workload driver, so
 // it measures the exact passage shape the BENCH_keyed.json gate records.
-// Crash-free with the node pool on, a keyed passage (lease acquisition,
-// hashing, recoverable lock, release) allocates nothing.
+// The stripes are flat, as in the gate's cells. Crash-free, a keyed
+// passage (lease acquisition, hashing, recoverable lock, release)
+// allocates nothing.
 func BenchmarkE16KeyedTable(b *testing.B) {
 	const workers = 16
 	for _, zipf := range []bool{false, true} {
@@ -583,7 +576,8 @@ func BenchmarkE16KeyedTable(b *testing.B) {
 			name = "zipf"
 		}
 		b.Run(name, func(b *testing.B) {
-			tbl := rme.NewLockTable(32, 4, rme.WithNodePool(true), rme.WithTableSeed(1))
+			tbl := rme.NewLockTable(32, 4, rme.WithTableSeed(1), rme.WithShardBackend(rme.FlatBackend))
+			defer tbl.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			rtbench.RunKeyedPassages(tbl, workers, b.N, zipf, 1<<20, false)
@@ -597,11 +591,12 @@ func BenchmarkE16KeyedTable(b *testing.B) {
 // stripe's keys one at a time, batch-8 covers the same group with one
 // DoBatch — per-key ns between those two is the amortization factor the
 // BENCH_keyed_async.json gate pins at ≥2x. All three drive rtbench's
-// exported runners, so they measure the exact shapes the gate records.
+// exported runners on flat stripes, so they measure the exact shapes the
+// gate records.
 func BenchmarkE17AsyncBatch(b *testing.B) {
 	const workers = 8
 	b.Run("async_zipf", func(b *testing.B) {
-		tbl := rme.NewLockTable(32, 4, rme.WithNodePool(true), rme.WithTableSeed(1))
+		tbl := rme.NewLockTable(32, 4, rme.WithTableSeed(1), rme.WithShardBackend(rme.FlatBackend))
 		defer tbl.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -613,7 +608,7 @@ func BenchmarkE17AsyncBatch(b *testing.B) {
 			name = "hot_batch8"
 		}
 		b.Run(name, func(b *testing.B) {
-			tbl := rme.NewLockTable(32, 4, rme.WithNodePool(true), rme.WithTableSeed(1))
+			tbl := rme.NewLockTable(32, 4, rme.WithTableSeed(1), rme.WithShardBackend(rme.FlatBackend))
 			defer tbl.Close()
 			b.ReportAllocs()
 			b.ResetTimer()

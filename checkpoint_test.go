@@ -96,7 +96,7 @@ func TestCheckpointRoundTripEmpty(t *testing.T) {
 // mutual exclusion intact under a post-heal storm. All three backends.
 func TestCheckpointRestoreHealsOrphans(t *testing.T) {
 	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
-		tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(99), rme.WithNodePool(true),
+		tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(99),
 			rme.WithShardBackend(backend))
 		keys := distinctStripeKeys(t, tbl, 3)
 		keyCS, keyMid, keyGrant := keys[0], keys[1], keys[2]
@@ -206,33 +206,43 @@ func TestCheckpointRestoreHealsOrphans(t *testing.T) {
 
 // TestCheckpointRestoreOptionMismatch pins the two restore-specific option
 // rules: an explicit WithShardBackend or WithTableSeed that contradicts
-// the image errors (and a matching or Auto-resolving one does not). The
-// bytes are valid in every case, so none of these wrap
-// ErrCheckpointCorrupt.
+// the image errors (Auto included, when it resolves to another shape), and
+// a matching or Auto-resolving one does not. The bytes are valid in every
+// case, so none of these wrap ErrCheckpointCorrupt.
 func TestCheckpointRestoreOptionMismatch(t *testing.T) {
 	tbl := rme.NewLockTable(4, 4, rme.WithTableSeed(7), rme.WithShardBackend(rme.FlatBackend))
 	defer tbl.Close()
 	data := mustCheckpoint(t, tbl)
+	// The same arena at the default shape, which Auto resolves to (MCS at
+	// four ports).
+	auto := rme.NewLockTable(4, 4, rme.WithTableSeed(7))
+	defer auto.Close()
+	autoData := mustCheckpoint(t, auto)
 
-	if _, err := rme.RestoreTable(data, rme.WithShardBackend(rme.TreeBackend)); err == nil {
-		t.Fatal("restore with a contradicting WithShardBackend succeeded")
-	} else if errors.Is(err, rme.ErrCheckpointCorrupt) {
-		t.Fatalf("option mismatch misclassified as corruption: %v", err)
-	}
-	if _, err := rme.RestoreTable(data, rme.WithTableSeed(8)); err == nil {
-		t.Fatal("restore with a contradicting WithTableSeed succeeded")
-	} else if errors.Is(err, rme.ErrCheckpointCorrupt) {
-		t.Fatalf("option mismatch misclassified as corruption: %v", err)
-	}
-	for _, ok := range []struct {
+	for _, bad := range []struct {
 		name string
 		opts []rme.Option
 	}{
-		{"matching backend", []rme.Option{rme.WithShardBackend(rme.FlatBackend)}},
-		{"auto resolving to the image's shape", []rme.Option{rme.WithShardBackend(rme.AutoBackend)}},
-		{"matching seed", []rme.Option{rme.WithTableSeed(7)}},
+		{"contradicting backend", []rme.Option{rme.WithShardBackend(rme.TreeBackend)}},
+		{"auto resolving to another shape", []rme.Option{rme.WithShardBackend(rme.AutoBackend)}},
+		{"contradicting seed", []rme.Option{rme.WithTableSeed(8)}},
 	} {
-		nt, err := rme.RestoreTable(data, ok.opts...)
+		if _, err := rme.RestoreTable(data, bad.opts...); err == nil {
+			t.Fatalf("%s: restore succeeded", bad.name)
+		} else if errors.Is(err, rme.ErrCheckpointCorrupt) {
+			t.Fatalf("%s: option mismatch misclassified as corruption: %v", bad.name, err)
+		}
+	}
+	for _, ok := range []struct {
+		name string
+		data []byte
+		opts []rme.Option
+	}{
+		{"matching backend", data, []rme.Option{rme.WithShardBackend(rme.FlatBackend)}},
+		{"auto resolving to the image's shape", autoData, []rme.Option{rme.WithShardBackend(rme.AutoBackend)}},
+		{"matching seed", data, []rme.Option{rme.WithTableSeed(7)}},
+	} {
+		nt, err := rme.RestoreTable(ok.data, ok.opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", ok.name, err)
 		}

@@ -1,6 +1,6 @@
 // Command rmebench regenerates the paper-reproduction experiment tables
 // recorded in EXPERIMENTS.md, and benchmarks the runtime lock stack across
-// the wait-strategy × node-pool matrix. Experiment runs (E1–E11) are
+// the wait-strategy axis. Experiment runs (E1–E11) are
 // deterministic; the runtime benchmarks (-json, -compare) are wall-clock
 // and hardware-dependent.
 //
@@ -114,8 +114,8 @@ func main() {
 }
 
 func printSample(s rtbench.Sample) {
-	fmt.Fprintf(os.Stderr, "  %-9s pool=%-5v %12.1f ns/op %7.3f allocs/op %8.2f wakes/op",
-		s.Strategy, s.Pool, s.NsPerOp, s.AllocsPerOp, s.WakesPerOp)
+	fmt.Fprintf(os.Stderr, "  %-9s %12.1f ns/op %7.3f allocs/op %8.2f wakes/op",
+		s.Strategy, s.NsPerOp, s.AllocsPerOp, s.WakesPerOp)
 	if len(s.LevelWakesPerOp) > 0 {
 		fmt.Fprintf(os.Stderr, "  levels[")
 		for i, w := range s.LevelWakesPerOp {
@@ -129,7 +129,7 @@ func printSample(s rtbench.Sample) {
 	fmt.Fprintln(os.Stderr)
 }
 
-// runRuntimeBench measures the strategy × pool matrix and writes one
+// runRuntimeBench measures the strategy matrix and writes one
 // BENCH_<file>.json per scenario file group (the two tree scenarios share
 // BENCH_tree.json, the keyed backend pair BENCH_keyed_tree.json). A
 // non-empty backendName overrides every keyed scenario's shard backend —
@@ -198,7 +198,6 @@ func runRuntimeBench(outDir, only, backendName string, collectStats bool) error 
 				statsByFile[f] = append(statsByFile[f], statsEntry{
 					Scenario: samples[i].Scenario,
 					Strategy: samples[i].Strategy,
-					Pool:     samples[i].Pool,
 					Stats:    samples[i].TableStats,
 				})
 				samples[i].TableStats = nil
@@ -236,7 +235,6 @@ func runRuntimeBench(outDir, only, backendName string, collectStats bool) error 
 type statsEntry struct {
 	Scenario string          `json:"scenario"`
 	Strategy string          `json:"strategy"`
-	Pool     bool            `json:"pool"`
 	Stats    *rme.TableStats `json:"table_stats"`
 }
 
@@ -244,7 +242,6 @@ type statsEntry struct {
 type cellKey struct {
 	Scenario string
 	Strategy string
-	Pool     bool
 }
 
 // compareCell judges one fresh sample against its baseline: "ok", or the
@@ -299,7 +296,7 @@ func runCompare(files []string, tol float64) error {
 			return fmt.Errorf("%s: %v", f, err)
 		}
 		for _, s := range samples {
-			baseline[cellKey{s.Scenario, s.Strategy, s.Pool}] = s
+			baseline[cellKey{s.Scenario, s.Strategy}] = s
 			wantScenario[s.Scenario] = true
 		}
 	}
@@ -324,16 +321,16 @@ func runCompare(files []string, tol float64) error {
 				samples = rtbench.RunScenario(sc)
 			} else {
 				for key := range failed {
-					samples = append(samples, rtbench.Run(sc, key.Strategy, key.Pool))
+					samples = append(samples, rtbench.Run(sc, key.Strategy))
 				}
 			}
 			failed = make(map[cellKey]string)
 			for _, s := range samples {
-				key := cellKey{s.Scenario, s.Strategy, s.Pool}
+				key := cellKey{s.Scenario, s.Strategy}
 				b, ok := baseline[key]
 				if !ok {
 					if attempt == 1 {
-						fmt.Fprintf(os.Stderr, "  %-9s pool=%-5v no baseline cell; skipped\n", s.Strategy, s.Pool)
+						fmt.Fprintf(os.Stderr, "  %-9s no baseline cell; skipped\n", s.Strategy)
 					}
 					continue
 				}
@@ -343,8 +340,8 @@ func runCompare(files []string, tol float64) error {
 				if s.GOMAXPROCS == b.GOMAXPROCS {
 					nsNote = fmt.Sprintf("ns %+.1f%%", 100*(s.NsPerOp-b.NsPerOp)/b.NsPerOp)
 				}
-				fmt.Fprintf(os.Stderr, "  %-9s pool=%-5v allocs %.3f -> %.3f, %s: %s\n",
-					s.Strategy, s.Pool, b.AllocsPerOp, s.AllocsPerOp, nsNote, verdict)
+				fmt.Fprintf(os.Stderr, "  %-9s allocs %.3f -> %.3f, %s: %s\n",
+					s.Strategy, b.AllocsPerOp, s.AllocsPerOp, nsNote, verdict)
 				if verdict != "ok" {
 					failed[key] = verdict
 				}
@@ -361,8 +358,8 @@ func runCompare(files []string, tol float64) error {
 	}
 	for key := range baseline {
 		if !compared[key] {
-			fmt.Fprintf(os.Stderr, "  baseline cell %s/%s/pool=%v not produced by this host; skipped\n",
-				key.Scenario, key.Strategy, key.Pool)
+			fmt.Fprintf(os.Stderr, "  baseline cell %s/%s not produced by this host; skipped\n",
+				key.Scenario, key.Strategy)
 		}
 	}
 	if len(compared) == 0 {
@@ -458,11 +455,12 @@ func emitMarkdown(all []experiments.Runner) (failed int) {
 	fmt.Println("ns/op defined as time-to-first-grant after the crash and the")
 	fmt.Println("full-heal time and checkpoint size recorded alongside; the cells")
 	fmt.Println("are alloc-exempt, so the gate pins recovery latency, not the")
-	fmt.Println("restore's by-design arena construction) across the wait-strategy ×")
-	fmt.Println("node-pool matrix. With the generation-stamped wait engine and the")
-	fmt.Println("node pool on, every crash-free passage — flat, tree, or keyed,")
-	fmt.Println("sync, async, or batched, contended or not, under any strategy —")
-	fmt.Println("is allocation-free, and")
+	fmt.Println("restore's by-design arena construction) across the wait-strategy")
+	fmt.Println("axis. With the generation-stamped wait engine, recycled flat and")
+	fmt.Println("tree queue nodes, and MCS's permanent per-port nodes, every")
+	fmt.Println("crash-free passage — flat, tree, MCS, or keyed, sync, async, or")
+	fmt.Println("batched, contended or not, under any strategy — is")
+	fmt.Println("allocation-free, and")
 	fmt.Println()
 	fmt.Println("    go run ./cmd/rmebench -compare BENCH_<scenario>.json")
 	fmt.Println()

@@ -2,6 +2,7 @@ package rme_test
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -271,10 +272,14 @@ func TestDispatchSubmitCloseRace(t *testing.T) {
 }
 
 // settleOneAsync submits one async request and settles its grant,
-// reporting false if the submission panicked on a closed table.
+// reporting false if the submission panicked on a closed table. Any other
+// panic is a real failure and propagates.
 func settleOneAsync(tbl *rme.LockTable, key uint64) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
+			if s, isStr := r.(string); !isStr || !strings.Contains(s, "closed LockTable") {
+				panic(r)
+			}
 			ok = false
 		}
 	}()

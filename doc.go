@@ -51,10 +51,6 @@
 //     procyield-style backoff (lowest handoff latency when every waiter
 //     owns a core), or spin-then-park on a channel for oversubscribed
 //     workloads where ports greatly exceed GOMAXPROCS.
-//   - WithNodePool recycles queue nodes through a per-port free list once
-//     their successor is done with them, making the crash-free
-//     Lock/Unlock fast path allocation-free; reuse that cannot be proven
-//     safe (a queue repair in flight) falls back to allocation.
 //   - WithTreeInstrumentation attaches per-level RMR-proxy counters to a
 //     TreeMutex (see TreeMutex.LevelStats), exposing the arbitration
 //     tree's hand-off cost profile.
@@ -62,8 +58,11 @@
 // The wait engine's spin words are generation-stamped and reusable (see
 // internal/wait): a stale wake aimed at a crashed waiter's abandoned
 // episode dies on a generation check instead of landing on a garbage
-// allocation. With the node pool on, every crash-free passage — contended
-// or uncontended, under any strategy — therefore allocates nothing.
+// allocation. Queue nodes are recycled too: each port keeps a small free
+// list of nodes whose successor is done with them, and reuse that cannot
+// be proven safe (a queue repair in flight) falls back to allocation.
+// Every crash-free passage — contended or uncontended, under any
+// strategy — therefore allocates nothing.
 //
 // # Keyed locking at scale
 //
@@ -90,10 +89,9 @@
 //     Lock/Unlock/Held take the key, Reclaim sweeps crashed tenancies
 //     (ReclaimWith reports each dead tenancy's key and whether it held
 //     the critical section, the hook for application-level redo/undo).
-//     Crash-free keyed passages allocate nothing once the node pools are
-//     warm. That needs WithNodePool(true) on flat and tree shards, whose
-//     passages otherwise allocate their queue nodes; MCS shards allocate
-//     nothing either way. The node pool is off by default.
+//     Crash-free keyed passages allocate nothing, on every shard backend,
+//     once the flat and tree shards' node free lists are warm (MCS nodes
+//     are permanent per-port state and need no warming).
 //
 // An orphaned tenancy still owns its protocol state — it can hold its
 // stripe's critical section or stall the queue behind it — so it must be
@@ -111,17 +109,18 @@
 // Each shard's lock is the flat k-ported Mutex, a k-process arbitration
 // TreeMutex, or the recoverable MCS queue lock MCSMutex, selected by
 // WithShardBackend and fixed for the table's lifetime; every keyed
-// contract (striping, recovery, async and batch) holds identically on
-// all three, and so do zero-allocation warm passages once flat and tree
-// shards have WithNodePool(true) — MCS shards need no pool for it. The
-// choice is therefore purely a performance trade:
+// contract (striping, recovery, async and batch, zero-allocation warm
+// passages) holds identically on all three. The choice is therefore a
+// performance trade, plus one progress property:
 //
-//   - The flat lock's crash-free passage is O(1) RMR — one queue entry,
-//     one handoff — and nothing beats it while recovery stays rare and
-//     ports stay modest. Its costs grow with the port count k: a queue
+//   - The flat lock is the paper's algorithm: an O(1)-RMR crash-free
+//     passage — one queue entry, one handoff — and the only shape whose
+//     Exit is wait-free. Its costs grow with the port count k: a queue
 //     repair scans all k ports and runs under a repair lock whose
 //     tournament is sized k, and every repair of the stripe serializes
-//     through that one lock.
+//     through that one lock. Each passage also publishes a queue node in
+//     a k-wide port table, which costs more than MCS's descriptor section
+//     even at k=4 (see AutoBackend below).
 //   - The MCS queue lock keeps the O(1)-RMR passage — one CAS on the
 //     tail, one local spin, one single-word wake to exactly the
 //     successor (0.89 wakes per passage at k=64 on the committed
@@ -131,7 +130,9 @@
 //     cost is the enqueue/empty-release descriptor, a tiny serializing
 //     lock whose dead holder stalls every new arrival on the stripe
 //     until Reclaim runs, so a crash's blast radius is the whole stripe
-//     (see MCSMutex for the full argument).
+//     (see MCSMutex for the full argument). Its Exit is not wait-free: a
+//     release can wait on the descriptor, or on the link of a successor
+//     that has committed its enqueue but not yet linked.
 //   - The tree pays O(log k / log log k) levels per passage (visible as
 //     ~4x wakes per passage at k=64 in the committed
 //     BENCH_keyed_tree.json), but bounds every repair to one node of
@@ -142,13 +143,16 @@
 //     hides handoff latency; under spin-then-park with heavy
 //     oversubscription each extra level's wake is a park/unpark round
 //     trip, and the flat lock is clearly better.
-//   - AutoBackend (the default) draws two lines: flat up to 32 ports
-//     per shard (no descriptor tax, and a Θ(k) repair is cheap at small
-//     k), MCS from 33 to 256 (O(1) passage and O(1) repair carry the
-//     middle), tree past 256 (it confines a crash to one arity-sized
+//   - AutoBackend (the default) draws one line: MCS up to 256 ports per
+//     shard, tree past it (the tree confines a crash to one arity-sized
 //     node, where a dead MCS descriptor holder stalls all k ports'
-//     arrivals). Tables that know their recovery profile can override
-//     either line; Backend() reports what was built.
+//     arrivals). MCS is the default for small stripes too because it
+//     won by measurement: on the repository benchmark's 4-port stripes
+//     it matched or beat flat shards on throughput, beat them on acquire
+//     latency, and allocates nothing per passage with no free list to
+//     warm. Tables that need a wait-free Exit, or the paper's own
+//     algorithm, opt in with WithShardBackend(FlatBackend); Backend()
+//     reports what was built.
 //
 // Arenas can also be heterogeneous in wait strategy: WithShardStrategy
 // overrides the waiting discipline per shard (hot shards on
@@ -201,9 +205,8 @@
 // inside a callback eats delivery capacity table-wide (see the
 // pool-liveness note in locktable_async.go). Crash-free async and batch
 // passages allocate nothing once pools are warm (amortized over the
-// batch for DoBatch), under the same WithNodePool condition as Lock on
-// flat and tree shards; WithDispatcherPool bounds the worker pool,
-// WithDispatcherSpin sizes each worker's idle spin window, and
+// batch for DoBatch), as Lock's do; WithDispatcherPool bounds the worker
+// pool, WithDispatcherSpin sizes each worker's idle spin window, and
 // WithAsyncPrewarm warms the request free lists and spawns the pool
 // eagerly for first-request allocation budgets.
 //
@@ -238,18 +241,17 @@
 //     (or a manual Reclaim) frees it like any other dead tenancy.
 //
 // A TryLock miss allocates nothing; a hit is an ordinary passage and
-// allocates exactly as Lock does (nothing on MCS shards or with
-// WithNodePool(true), queue nodes otherwise). TryLock is conservative: it
-// may return false under momentary contention (it refuses to queue), but
-// true always means the key is held. LockBatchContext is all-or-nothing — a deadline mid-batch
+// allocates exactly as Lock does: nothing once the node pools are warm.
+// TryLock is conservative: it may return false under momentary
+// contention (it refuses to queue), but true always means the key is
+// held. LockBatchContext is all-or-nothing — a deadline mid-batch
 // releases every stripe already acquired, in ShardIndex order, before
 // returning the error. Sheds are counted per stripe in ShardStats
 // (Timeouts for context.DeadlineExceeded, Aborts for everything else);
 // TryLock misses are not sheds and are not counted. The committed
-// BENCH_keyed_abort.json baseline pins the tier's costs: with the node
-// pool on, both the crash-free grant path and the deterministic
-// pre-expired shed stay inside the zero-allocation gate on all three
-// backends.
+// BENCH_keyed_abort.json baseline pins the tier's costs: both the
+// crash-free grant path and the deterministic pre-expired shed stay
+// inside the zero-allocation gate on all three backends.
 //
 // # Supervised tables
 //
@@ -275,7 +277,7 @@
 // observability surface) reports sweeps and the stripes and ports
 // healed. The committed BENCH_keyed_supervised.json baseline pins the
 // feature's cost claim: with the supervisor sweeping every 200µs, a
-// pooled table's crash-free passages stay allocation-free.
+// table's crash-free passages stay allocation-free.
 //
 // # System-wide crashes and snapshots
 //

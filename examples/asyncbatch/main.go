@@ -36,7 +36,7 @@ const (
 func main() {
 	// A deliberately small arena: 4 stripes of 2 ports for 8 hot
 	// accounts, so the async and batch machinery actually contends.
-	tbl := rme.NewLockTable(4, 2, rme.WithNodePool(true), rme.WithTableSeed(42),
+	tbl := rme.NewLockTable(4, 2, rme.WithTableSeed(42),
 		rme.WithAsyncPrewarm(producers))
 	defer tbl.Close()
 

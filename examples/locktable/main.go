@@ -145,7 +145,6 @@ func main() {
 	// auditor to queue on the hot stripe) with a supervisor sweeping
 	// orphans every millisecond.
 	l := &ledger{tbl: rme.NewLockTable(4, 16,
-		rme.WithNodePool(true),
 		rme.WithSupervisor(rme.SupervisorConfig{Interval: time.Millisecond}))}
 	defer l.tbl.Close() // joins the supervisor and every heal it started
 

@@ -1,8 +1,8 @@
 // Oversubscribed: many more ports than processors, tuned with the
-// wait-strategy and node-pool options. 32·GOMAXPROCS workers hammer one
-// lock under the spin-then-park strategy — the workload where spinning
-// waiters would otherwise starve the one goroutine able to make progress
-// — with queue nodes recycled so steady-state passages allocate nothing.
+// wait-strategy option. 32·GOMAXPROCS workers hammer one lock under the
+// spin-then-park strategy — the workload where spinning waiters would
+// otherwise starve the one goroutine able to make progress — with queue
+// nodes recycled so steady-state passages allocate nothing.
 //
 //	go run ./examples/oversubscribed
 package main
@@ -22,8 +22,7 @@ func main() {
 	const iters = 200
 
 	m := rme.New(ports,
-		rme.WithWaitStrategy(rme.SpinParkWaitStrategy(32)),
-		rme.WithNodePool(true))
+		rme.WithWaitStrategy(rme.SpinParkWaitStrategy(32)))
 
 	counter := 0 // protected by m
 	start := time.Now()

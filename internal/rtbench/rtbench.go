@@ -1,8 +1,8 @@
 // Package rtbench measures the runtime lock stack — real goroutines, wall
-// clock — across the wait-strategy × node-pool matrix, together with the
-// wait engine's RMR-proxy counters. cmd/rmebench's -json mode serializes
-// the results to BENCH_<scenario>.json files so successive changes leave a
-// comparable performance trajectory in the repository.
+// clock — across the wait-strategy axis, together with the wait engine's
+// RMR-proxy counters. cmd/rmebench's -json mode serializes the results to
+// BENCH_<scenario>.json files so successive changes leave a comparable
+// performance trajectory in the repository.
 //
 // Three lock shapes are measured: the flat k-ported Mutex (uncontended,
 // contended8, oversubscribed); the n-process arbitration TreeMutex
@@ -90,9 +90,9 @@ type Scenario struct {
 	Keyed bool
 	// Backend selects the keyed table's shard lock shape (flat Mutex,
 	// arbitration TreeMutex, recoverable MCS queue lock, or the
-	// port-count Auto default). Keyed scenarios only; the zero value is
-	// rme.AutoBackend, which keeps the long-standing scenarios on flat
-	// shards at their small port counts.
+	// port-count Auto default). Keyed scenarios only. Every committed
+	// scenario names its shape, so each cell keeps measuring the shape
+	// its baseline recorded whatever Auto resolves to.
 	Backend rme.ShardBackend
 	// Zipf draws keys zipf-distributed (hot-key contention) instead of
 	// uniformly. Keyed scenarios only.
@@ -124,12 +124,6 @@ type Scenario struct {
 	// measured pass prices passages with the supervisor live. Keyed
 	// scenarios only.
 	Supervised bool
-	// SkipUnpooled drops the pool=false cells. Without the node pool a
-	// flat or tree passage allocates its queue nodes, so an unpooled cell
-	// cannot show whether some other layer (a supervisor tick, say)
-	// started allocating; the pool=true cell, where the warm passage is
-	// allocation-free, is the committed claim.
-	SkipUnpooled bool
 	// AbortEvery, when non-zero, drives the table through LockContext and
 	// sheds every AbortEvery-th passage with a pre-expired deadline (the
 	// deterministic zero-allocation shed path); the rest acquire under a
@@ -149,10 +143,9 @@ type Scenario struct {
 	// wait-node slots whose pools fill only from retired passages, so
 	// first-touch qnode builds trickle through the whole measured pass as
 	// each stripe's per-port high-water mark ratchets up — a decaying
-	// one-time cost proportional to arena size, schedule-dependent in
-	// exactly the way SkipUnpooled's doc describes, not a per-op leak
-	// (the profile shows zero steady-state allocation sites). The gate
-	// still pins the cell's ns/op.
+	// one-time cost proportional to arena size and dependent on the
+	// schedule, not a per-op leak (the profile shows zero steady-state
+	// allocation sites). The gate still pins the cell's ns/op.
 	AllocExempt bool
 	// SysCrash replaces the passage loop with full-table crash rounds:
 	// each measured iteration builds an arena, parks one live tenancy per
@@ -214,6 +207,7 @@ func Scenarios() []Scenario {
 			Iters:  100_000,
 			Keys:   1 << 20,
 			Shards: 32, ShardPorts: 4,
+			Backend: rme.FlatBackend,
 		},
 		{
 			Name: "keyed_zipf", File: "keyed", Keyed: true, Zipf: true,
@@ -221,6 +215,7 @@ func Scenarios() []Scenario {
 			Iters:  100_000,
 			Keys:   1 << 20,
 			Shards: 32, ShardPorts: 4,
+			Backend: rme.FlatBackend,
 		},
 		{
 			// The crash mix lives in its own file group: recovery work
@@ -233,6 +228,7 @@ func Scenarios() []Scenario {
 			Iters:  30_000,
 			Keys:   1 << 20,
 			Shards: 32, ShardPorts: 4,
+			Backend:    rme.FlatBackend,
 			CrashEvery: 4096,
 		},
 		{
@@ -282,6 +278,7 @@ func Scenarios() []Scenario {
 			Iters:  60_000,
 			Keys:   1 << 20,
 			Shards: 32, ShardPorts: 4,
+			Backend: rme.FlatBackend,
 		},
 		{
 			// The shared-executor scaling cell (BENCH_keyed_pooled.json):
@@ -306,6 +303,7 @@ func Scenarios() []Scenario {
 			Iters:  40_000,
 			Keys:   1 << 20,
 			Shards: 512, ShardPorts: 16,
+			Backend:        rme.FlatBackend,
 			DispatcherPool: 8,
 			AllocExempt:    true,
 		},
@@ -374,8 +372,7 @@ func Scenarios() []Scenario {
 			Iters:  40_000,
 			Keys:   4096,
 			Shards: 4, ShardPorts: 48,
-			Backend:      rme.FlatBackend,
-			SkipUnpooled: true,
+			Backend: rme.FlatBackend,
 			// Yield cells only: spin-then-park's parked handoffs run this
 			// 16-worker workload an order of magnitude slower, and the
 			// claim this file pins — a ticking supervisor adds no
@@ -400,7 +397,6 @@ func Scenarios() []Scenario {
 			Keys:   100_000,
 			Shards: 128, ShardPorts: 8,
 			Backend:        rme.FlatBackend,
-			SkipUnpooled:   true,
 			SkipStrategies: []string{"spin", "spinpark"},
 		},
 		{
@@ -416,7 +412,6 @@ func Scenarios() []Scenario {
 			Keys:   1_000_000,
 			Shards: 512, ShardPorts: 16,
 			Backend:        rme.FlatBackend,
-			SkipUnpooled:   true,
 			SkipStrategies: []string{"spin", "spinpark"},
 		},
 		{
@@ -428,6 +423,7 @@ func Scenarios() []Scenario {
 			Iters:  400_000,
 			Keys:   hotSpan,
 			Shards: 32, ShardPorts: 4,
+			Backend: rme.FlatBackend,
 		},
 		{
 			// The same hot-stripe traffic, DoBatch-grouped 8 keys at a
@@ -440,6 +436,7 @@ func Scenarios() []Scenario {
 			Iters:  400_000,
 			Keys:   hotSpan,
 			Shards: 32, ShardPorts: 4,
+			Backend: rme.FlatBackend,
 		},
 	}
 }
@@ -487,12 +484,10 @@ func strategyByName(name string) rme.WaitStrategy {
 	}
 }
 
-// Sample is one cell of the matrix: a scenario run under one strategy and
-// pooling setting.
+// Sample is one cell of the matrix: a scenario run under one strategy.
 type Sample struct {
 	Scenario    string  `json:"scenario"`
 	Strategy    string  `json:"strategy"`
-	Pool        bool    `json:"pool"`
 	Ports       int     `json:"ports"`
 	GOMAXPROCS  int     `json:"gomaxprocs"`
 	Iters       int     `json:"iters"`
@@ -794,9 +789,9 @@ func syscrashStripeKeys(tbl *rme.LockTable, n int, keys uint64) []uint64 {
 // which is exactly what a process death leaves), checkpoint, and restore
 // into a fresh incarnation whose orphan sweep runs concurrently with one
 // waiting acquirer. Returns the round's latencies and checkpoint size.
-func runSysCrashRound(sc Scenario, strategy string, pool bool) (ttfg, heal, ckpt time.Duration, bytes int) {
+func runSysCrashRound(sc Scenario, strategy string) (ttfg, heal, ckpt time.Duration, bytes int) {
 	opts := []rme.Option{
-		rme.WithWaitStrategy(strategyByName(strategy)), rme.WithNodePool(pool),
+		rme.WithWaitStrategy(strategyByName(strategy)),
 		rme.WithTableSeed(0x5eed), rme.WithShardBackend(sc.Backend),
 	}
 	tbl := rme.NewLockTable(sc.Shards, sc.ShardPorts, opts...)
@@ -825,7 +820,7 @@ func runSysCrashRound(sc Scenario, strategy string, pool bool) (ttfg, heal, ckpt
 	// behind an adopted dead holder until recovery releases it — the
 	// post-crash availability story, timed.
 	t1 := time.Now()
-	nt, err := rme.RestoreTable(image, rme.WithWaitStrategy(strategyByName(strategy)), rme.WithNodePool(pool))
+	nt, err := rme.RestoreTable(image, rme.WithWaitStrategy(strategyByName(strategy)))
 	if err != nil {
 		panic(fmt.Sprintf("rtbench: restore: %v", err))
 	}
@@ -851,15 +846,15 @@ func runSysCrashRound(sc Scenario, strategy string, pool bool) (ttfg, heal, ckpt
 // time-to-first-grant, so the regular ns regression gate pins recovery
 // latency; allocations per round are construction-dominated and the cell
 // is marked AllocExempt.
-func runSysCrashCell(sc Scenario, strategy string, pool bool) Sample {
-	runSysCrashRound(sc, strategy, pool) // warm: code paths, park channels
+func runSysCrashCell(sc Scenario, strategy string) Sample {
+	runSysCrashRound(sc, strategy) // warm: code paths, park channels
 
 	var ttfg, heal, ckpt time.Duration
 	var bytes int
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	for i := 0; i < sc.Iters; i++ {
-		dt, dh, dc, b := runSysCrashRound(sc, strategy, pool)
+		dt, dh, dc, b := runSysCrashRound(sc, strategy)
 		ttfg += dt
 		heal += dh
 		ckpt += dc
@@ -872,7 +867,6 @@ func runSysCrashCell(sc Scenario, strategy string, pool bool) Sample {
 	return Sample{
 		Scenario:    sc.Name,
 		Strategy:    strategy,
-		Pool:        pool,
 		Ports:       sc.Ports(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Iters:       sc.Iters,
@@ -929,9 +923,9 @@ func forEachWorker(workers, total int, body func(w, n int)) {
 // a caller-side wrap would never see the table's waits. Keyed warm-ups
 // always run crash-free (they exist to fill the pools); the crash mix,
 // if any, is confined to the measured pass.
-func Run(sc Scenario, strategy string, pool bool) Sample {
+func Run(sc Scenario, strategy string) Sample {
 	if sc.SysCrash {
-		return runSysCrashCell(sc, strategy, pool)
+		return runSysCrashCell(sc, strategy)
 	}
 	ports := sc.Ports()
 	stats := &wait.Stats{}
@@ -942,12 +936,11 @@ func Run(sc Scenario, strategy string, pool bool) Sample {
 	case sc.Tree:
 		tm = rme.NewTree(ports,
 			rme.WithWaitStrategy(strategyByName(strategy)),
-			rme.WithNodePool(pool),
 			rme.WithTreeInstrumentation(true))
 		lk = tm
 	case sc.Keyed:
 		opts := []rme.Option{
-			rme.WithWaitStrategy(strategyByName(strategy)), rme.WithNodePool(pool),
+			rme.WithWaitStrategy(strategyByName(strategy)),
 			rme.WithTableSeed(0x5eed), rme.WithShardBackend(sc.Backend),
 		}
 		if sc.DispatcherPool > 0 {
@@ -973,7 +966,7 @@ func Run(sc Scenario, strategy string, pool bool) Sample {
 		tbl = rme.NewLockTable(sc.Shards, sc.ShardPorts, opts...)
 	default:
 		st := wait.Instrumented(strategyByName(strategy), stats)
-		lk = rme.New(ports, rme.WithWaitStrategy(st), rme.WithNodePool(pool))
+		lk = rme.New(ports, rme.WithWaitStrategy(st))
 	}
 
 	warm := sc.Iters / 10
@@ -1027,7 +1020,6 @@ func Run(sc Scenario, strategy string, pool bool) Sample {
 	s := Sample{
 		Scenario:    sc.Name,
 		Strategy:    strategy,
-		Pool:        pool,
 		Ports:       ports,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Iters:       sc.Iters,
@@ -1081,8 +1073,8 @@ func Run(sc Scenario, strategy string, pool bool) Sample {
 	return s
 }
 
-// RunScenario measures every (strategy, pool) cell of one scenario,
-// skipping the strategies the scenario marks pathological.
+// RunScenario measures every strategy cell of one scenario, skipping the
+// strategies the scenario marks pathological.
 func RunScenario(sc Scenario) []Sample {
 	var out []Sample
 	for _, name := range StrategyNames() {
@@ -1102,13 +1094,7 @@ func RunScenario(sc Scenario) []Sample {
 		if skip {
 			continue
 		}
-		pools := []bool{false, true}
-		if sc.SkipUnpooled {
-			pools = []bool{true}
-		}
-		for _, pool := range pools {
-			out = append(out, Run(sc, name, pool))
-		}
+		out = append(out, Run(sc, name))
 	}
 	return out
 }

@@ -6,21 +6,21 @@ import (
 	rme "github.com/rmelib/rme"
 )
 
-// TestRunCell smokes one matrix cell and pins the headline pooling claim:
-// warm uncontended passages with the node pool allocate nothing (the
-// harness's own worker spawn amortizes below 0.01/op).
+// TestRunCell smokes one matrix cell and pins the headline zero-allocation
+// claim: warm uncontended passages allocate nothing (the harness's own
+// worker spawn amortizes below 0.01/op).
 func TestRunCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full measurement pass")
 	}
 	sc := Scenarios()[0] // uncontended
 	sc.Iters = 100_000
-	s := Run(sc, "yield", true)
+	s := Run(sc, "yield")
 	if s.NsPerOp <= 0 {
 		t.Fatalf("NsPerOp = %v, want > 0", s.NsPerOp)
 	}
 	if s.AllocsPerOp >= 0.01 {
-		t.Fatalf("uncontended pooled AllocsPerOp = %v, want ~0", s.AllocsPerOp)
+		t.Fatalf("uncontended AllocsPerOp = %v, want ~0", s.AllocsPerOp)
 	}
 	if s.Iters == 0 || s.Ports != 1 {
 		t.Fatalf("bad sample shape: %+v", s)
@@ -44,7 +44,7 @@ func TestRunTreeCell(t *testing.T) {
 		t.Fatal("tree scenario missing from Scenarios()")
 	}
 	sc.Iters = 5_000
-	s := Run(sc, "yield", true)
+	s := Run(sc, "yield")
 	if s.NsPerOp <= 0 {
 		t.Fatalf("NsPerOp = %v, want > 0", s.NsPerOp)
 	}
@@ -64,7 +64,7 @@ func TestRunTreeCell(t *testing.T) {
 }
 
 // TestRunKeyedCell smokes the keyed cells: the crash-free zipf cell must
-// uphold the zero-allocation claim with pooling on, and the crash-mix cell
+// uphold the zero-allocation claim, and the crash-mix cell
 // must actually inject (and fully recover from) crashes.
 func TestRunKeyedCell(t *testing.T) {
 	if testing.Short() {
@@ -83,18 +83,18 @@ func TestRunKeyedCell(t *testing.T) {
 		t.Fatal("keyed scenarios missing from Scenarios()")
 	}
 	zipf.Iters = 20_000
-	s := Run(zipf, "yield", true)
+	s := Run(zipf, "yield")
 	if s.NsPerOp <= 0 || s.Keys != zipf.Keys || s.Crashes != 0 {
 		t.Fatalf("bad keyed sample shape: %+v", s)
 	}
 	if s.AllocsPerOp >= 0.01 {
-		t.Fatalf("crash-free keyed pooled AllocsPerOp = %v, want ~0", s.AllocsPerOp)
+		t.Fatalf("crash-free keyed AllocsPerOp = %v, want ~0", s.AllocsPerOp)
 	}
 	if zipf.FileName() != "keyed" || crash.FileName() != "keyed_crash" {
 		t.Fatalf("keyed file groups wrong: %q, %q", zipf.FileName(), crash.FileName())
 	}
 	crash.Iters = 20_000
-	s = Run(crash, "yield", true)
+	s = Run(crash, "yield")
 	if s.Crashes == 0 {
 		t.Fatal("crash-mix cell injected no crashes")
 	}
@@ -122,12 +122,12 @@ func TestRunKeyedMCSCell(t *testing.T) {
 	// Keep the scenario's configured passage count: the harness's own
 	// 64 worker spawns amortize below the 0.01/op gate only at full
 	// scale (observed 0.026/op when cut to 10k passages).
-	s := Run(sc, "yield", true)
+	s := Run(sc, "yield")
 	if s.Backend != "mcs" {
 		t.Fatalf("sample backend = %q, want mcs", s.Backend)
 	}
 	if s.AllocsPerOp >= 0.01 {
-		t.Fatalf("crash-free MCS keyed pooled AllocsPerOp = %v, want ~0", s.AllocsPerOp)
+		t.Fatalf("crash-free MCS keyed AllocsPerOp = %v, want ~0", s.AllocsPerOp)
 	}
 	// 64 workers on 2 stripes are always queued; a zero here means the
 	// counters were not collected, not that nothing blocked.
@@ -155,12 +155,12 @@ func TestRunKeyedAbortCell(t *testing.T) {
 	if !sc.Keyed || sc.AbortEvery != 100 || sc.FileName() != "keyed_abort" {
 		t.Fatalf("keyed_abort scenario shape wrong: %+v", sc)
 	}
-	s := Run(sc, "yield", true)
+	s := Run(sc, "yield")
 	if s.NsPerOp <= 0 || s.Crashes != 0 {
 		t.Fatalf("bad abort sample shape: %+v", s)
 	}
 	if s.AllocsPerOp >= 0.01 {
-		t.Fatalf("abort-tier pooled AllocsPerOp = %v, want ~0", s.AllocsPerOp)
+		t.Fatalf("abort-tier AllocsPerOp = %v, want ~0", s.AllocsPerOp)
 	}
 	// 1 shed per AbortEvery passages per worker, minus each worker's
 	// sub-AbortEvery remainder — so the measured rate sits just under

@@ -211,7 +211,7 @@ func TestMaximalQPathsShapes(t *testing.T) {
 // first-request claim on the unwarmed stripes.
 func TestAsyncPrewarmPerShard(t *testing.T) {
 	const shards, n = 8, 3
-	tbl := NewLockTable(shards, 2, WithAsyncPrewarm(n), WithNodePool(true))
+	tbl := NewLockTable(shards, 2, WithAsyncPrewarm(n))
 	defer tbl.Close()
 	for i := range tbl.shards {
 		sh := &tbl.shards[i]
@@ -248,8 +248,9 @@ func TestAsyncPrewarmPerShard(t *testing.T) {
 
 // TestShardStrategyHook pins WithShardStrategy's wiring: a non-nil hook
 // result overrides the table-wide strategy for exactly that shard's lock
-// and lease pool, a nil result keeps the default, and the override
-// reaches every tree node when the shard backend is the arbitration tree.
+// (an MCSMutex, the default shape at two ports) and lease pool, a nil
+// result keeps the default, and the override reaches every tree node when
+// the shard backend is the arbitration tree.
 func TestShardStrategyHook(t *testing.T) {
 	tbl := NewLockTable(3, 2,
 		WithWaitStrategy(YieldWaitStrategy()),
@@ -259,9 +260,10 @@ func TestShardStrategyHook(t *testing.T) {
 			}
 			return nil
 		}))
+	defer tbl.Close()
 	want := []string{"yield", "spin", "yield"}
 	for i := range tbl.shards {
-		if got := tbl.shards[i].lk.(*Mutex).strat.String(); got != want[i] {
+		if got := tbl.shards[i].lk.(*MCSMutex).strat.String(); got != want[i] {
 			t.Errorf("shard %d lock strategy = %s, want %s", i, got, want[i])
 		}
 		if got := tbl.shards[i].pool.strat.String(); got != want[i] {
@@ -277,6 +279,7 @@ func TestShardStrategyHook(t *testing.T) {
 			}
 			return nil
 		}))
+	defer tree.Close()
 	wantTree := []string{"spinpark", "yield"}
 	for i := range tree.shards {
 		tm := tree.shards[i].lk.(*TreeMutex)
@@ -311,6 +314,18 @@ func TestPaddedLayout(t *testing.T) {
 	}
 	if s := unsafe.Sizeof(portFree{}); s%cacheLineSize != 0 {
 		t.Errorf("portFree size %d not a multiple of %d", s, cacheLineSize)
+	}
+	// MCSMutex's write-hot tail and enq share one line, apart from the
+	// read-mostly header before them and from whatever follows the lock.
+	var m MCSMutex
+	if off := unsafe.Offsetof(m.tail); off%cacheLineSize != 0 {
+		t.Errorf("MCSMutex.tail at offset %d, not on a %d-byte line", off, cacheLineSize)
+	}
+	if unsafe.Offsetof(m.enq) != unsafe.Offsetof(m.tail)+unsafe.Sizeof(m.tail) {
+		t.Errorf("MCSMutex.enq does not follow tail on its line")
+	}
+	if s := unsafe.Sizeof(m); s%cacheLineSize != 0 {
+		t.Errorf("MCSMutex size %d not a multiple of %d", s, cacheLineSize)
 	}
 }
 
@@ -417,4 +432,98 @@ func TestDispatchRunQueueLaggingConsumer(t *testing.T) {
 	if got := q.dequeue(); got != nil {
 		t.Fatalf("dequeue on an empty queue = %p", got)
 	}
+}
+
+// waitUntil polls cond until it holds, failing the test after d.
+func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestMCSRelinkAfterGrant pins MCS recovery's re-link against a
+// predecessor that grants the recovering passage and starts a new one
+// between the recovery's phase read and its re-link. The stale link must
+// not land in the predecessor's new passage: that passage's release would
+// then "grant" a dead ref and leave tail on its own ref, and every later
+// arrival would fail its link CAS forever.
+func TestMCSRelinkAfterGrant(t *testing.T) {
+	m := NewMCS(3)
+	m.Lock(0)
+	// Port 1 queues behind port 0, links, and is cancelled: left in
+	// mcsWait, linked.
+	cancel := make(chan struct{})
+	queued := make(chan bool)
+	go func() { queued <- m.LockDone(1, cancel) }()
+	waitUntil(t, 2*time.Second, "port 1 to link behind port 0", func() bool {
+		return m.nodes[0].next.Load() != 0
+	})
+	close(cancel)
+	if <-queued {
+		t.Fatal("port 1 acquired while port 0 held the lock")
+	}
+	if ph := m.nodes[1].word.Load() & mcsPhaseMask; ph != mcsWait {
+		t.Fatalf("cancelled port 1 in phase %d, want mcsWait", ph)
+	}
+
+	// Port 1's recovery parks between its phase read and its re-link.
+	relinker := mcsRef(1, m.nodes[1].word.Load()>>mcsPhaseBits)
+	parked, resume := make(chan struct{}), make(chan struct{})
+	m.SetCrashFunc(func(port int, point string) bool {
+		if port == 1 && point == "M.relink" {
+			close(parked)
+			<-resume
+		}
+		return false
+	})
+	recovered := make(chan struct{})
+	go func() {
+		m.Lock(1)
+		close(recovered)
+	}()
+	select {
+	case <-parked:
+	case <-time.After(2 * time.Second):
+		t.Fatal("port 1's recovery never reached M.relink")
+	}
+
+	// Port 0 unlocks, granting port 1, and locks again: it queues behind
+	// port 1, or waits for the descriptor if the parked recovery holds it.
+	m.Unlock(0)
+	relocked := make(chan struct{})
+	go func() {
+		m.Lock(0)
+		close(relocked)
+	}()
+	waitUntil(t, 2*time.Second, "port 0 to queue again", func() bool {
+		ph := m.nodes[0].word.Load() & mcsPhaseMask
+		return ph == mcsWait || ph == mcsEnq && m.enq.Load() == relinker
+	})
+	close(resume)
+	select {
+	case <-recovered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("port 1's recovery never returned")
+	}
+	m.SetCrashFunc(nil)
+	m.Unlock(1)
+	select {
+	case <-relocked:
+	case <-time.After(2 * time.Second):
+		t.Fatal("port 0 never re-acquired")
+	}
+	m.Unlock(0)
+
+	timeout := make(chan struct{})
+	timer := time.AfterFunc(2*time.Second, func() { close(timeout) })
+	defer timer.Stop()
+	if !m.LockDone(2, timeout) {
+		t.Fatalf("port 2 hung: tail=%#x nodes[0].next=%#x", m.tail.Load(), m.nodes[0].next.Load())
+	}
+	m.Unlock(2)
 }

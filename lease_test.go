@@ -195,7 +195,7 @@ func TestLeaseStormRace(t *testing.T) {
 // per port) holds throughout.
 func TestLeasedMutexWorkers(t *testing.T) {
 	const ports, workers, iters = 3, 12, 150
-	m := rme.New(ports, rme.WithNodePool(true))
+	m := rme.New(ports)
 	p := rme.NewPortLeaser(ports)
 	var inside atomic.Int32
 	counter := 0 // race-detector referee

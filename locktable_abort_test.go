@@ -43,6 +43,7 @@ func sameStripeKeys(tbl *rme.LockTable) (uint64, uint64) {
 func TestAbortTryLock(t *testing.T) {
 	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
 		tbl := rme.NewLockTable(4, 2, rme.WithTableSeed(11), rme.WithShardBackend(backend))
+		defer tbl.Close()
 		k1, k2 := sameStripeKeys(tbl)
 
 		if !tbl.TryLock(k1) {
@@ -85,6 +86,7 @@ func TestAbortTryLock(t *testing.T) {
 func TestAbortLockContextDeadline(t *testing.T) {
 	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
 		tbl := rme.NewLockTable(2, 2, rme.WithTableSeed(5), rme.WithShardBackend(backend))
+		defer tbl.Close()
 		k1, k2 := sameStripeKeys(tbl)
 
 		// Uncancellable context degrades to plain Lock.
@@ -141,6 +143,7 @@ func TestAbortLockContextDeadline(t *testing.T) {
 func TestAbortStrandedStripeHazard(t *testing.T) {
 	t.Run("hazard", func(t *testing.T) {
 		tbl := rme.NewLockTable(1, 2, rme.WithTableSeed(3))
+		defer tbl.Close()
 		tbl.SetNoAbortFixup(true)
 		k1, k2 := sameStripeKeys(tbl)
 
@@ -178,6 +181,7 @@ func TestAbortStrandedStripeHazard(t *testing.T) {
 
 	t.Run("fixed", func(t *testing.T) {
 		tbl := rme.NewLockTable(1, 2, rme.WithTableSeed(3))
+		defer tbl.Close()
 		k1, k2 := sameStripeKeys(tbl)
 
 		tbl.Lock(k1)
@@ -255,6 +259,7 @@ func TestAbortReclaimLateOrphan(t *testing.T) {
 func TestAbortAsyncGrantRace(t *testing.T) {
 	t.Run("delivered", func(t *testing.T) {
 		tbl := rme.NewLockTable(1, 2, rme.WithTableSeed(9))
+		defer tbl.Close()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		g, ok := <-tbl.LockAsyncContext(ctx, 7)
@@ -267,6 +272,7 @@ func TestAbortAsyncGrantRace(t *testing.T) {
 
 	t.Run("shed before acquisition", func(t *testing.T) {
 		tbl := rme.NewLockTable(1, 2, rme.WithTableSeed(9))
+		defer tbl.Close()
 		k1, k2 := sameStripeKeys(tbl)
 		tbl.Lock(k1)
 		// The plain request blocks the dispatcher on the held stripe; the
@@ -293,6 +299,7 @@ func TestAbortAsyncGrantRace(t *testing.T) {
 
 	t.Run("pre-expired", func(t *testing.T) {
 		tbl := rme.NewLockTable(1, 2, rme.WithTableSeed(9))
+		defer tbl.Close()
 		ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 		defer cancel()
 		if _, ok := <-tbl.LockAsyncContext(ctx, 7); ok {
@@ -306,6 +313,7 @@ func TestAbortAsyncGrantRace(t *testing.T) {
 
 	t.Run("cancelled after granted", func(t *testing.T) {
 		tbl := rme.NewLockTable(1, 2, rme.WithTableSeed(9))
+		defer tbl.Close()
 		const k = 7
 		ctx, cancel := context.WithCancel(context.Background())
 		ch := tbl.LockAsyncContext(ctx, k)
@@ -343,6 +351,7 @@ func TestAbortAsyncGrantRace(t *testing.T) {
 		// invisible to Orphans(), unreachable by Reclaim — and the stripe
 		// is leaked for good. This is the second hazard of the pair.
 		tbl := rme.NewLockTable(1, 2, rme.WithTableSeed(9))
+		defer tbl.Close()
 		tbl.SetNoAbortFixup(true)
 		const k = 7
 		ctx, cancel := context.WithCancel(context.Background())
@@ -377,6 +386,7 @@ func TestAbortAsyncGrantRace(t *testing.T) {
 // same batch then succeeds once the blocker releases.
 func TestAbortBatchContext(t *testing.T) {
 	tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(21))
+	defer tbl.Close()
 	keys := []uint64{3, 17, 99, 256, 1024, 4096}
 	blocker := keys[3]
 
@@ -420,6 +430,7 @@ func TestAbortBatchContext(t *testing.T) {
 // aggregation through TableStats.Total.
 func TestAbortShardStatsCounters(t *testing.T) {
 	tbl := rme.NewLockTable(1, 2, rme.WithTableSeed(1))
+	defer tbl.Close()
 	base := tbl.Stats().Total()
 	if base.Aborts != 0 || base.Timeouts != 0 {
 		t.Fatalf("fresh table sheds = (%d, %d)", base.Aborts, base.Timeouts)
@@ -479,7 +490,7 @@ func TestAbortStormZipf(t *testing.T) {
 		if testing.Short() {
 			iters = 60
 		}
-		tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(71), rme.WithNodePool(true),
+		tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(71),
 			rme.WithShardBackend(backend))
 		defer tbl.Close()
 		var calls atomic.Uint64

@@ -43,7 +43,7 @@ func keysOnDistinctStripes(tbl *rme.LockTable, n int) []uint64 {
 }
 
 func TestLockAsyncBasic(t *testing.T) {
-	tbl := rme.NewLockTable(4, 2, rme.WithTableSeed(1), rme.WithNodePool(true))
+	tbl := rme.NewLockTable(4, 2, rme.WithTableSeed(1))
 	defer tbl.Close()
 	const key = 42
 	g := <-tbl.LockAsync(key)
@@ -72,7 +72,7 @@ func TestLockAsyncBasic(t *testing.T) {
 // TestLockAsyncFIFO: grants on one stripe are delivered in submission
 // order, and a grant is only delivered once the previous holder released.
 func TestLockAsyncFIFO(t *testing.T) {
-	tbl := rme.NewLockTable(1, 4, rme.WithTableSeed(1), rme.WithNodePool(true))
+	tbl := rme.NewLockTable(1, 4, rme.WithTableSeed(1))
 	defer tbl.Close()
 	const n = 8
 	var order []int
@@ -104,7 +104,7 @@ func TestLockAsyncFIFO(t *testing.T) {
 }
 
 func TestLockAsyncFunc(t *testing.T) {
-	tbl := rme.NewLockTable(4, 2, rme.WithTableSeed(1), rme.WithNodePool(true))
+	tbl := rme.NewLockTable(4, 2, rme.WithTableSeed(1))
 	defer tbl.Close()
 	done := make(chan uint64, 1)
 	tbl.LockAsyncFunc(7, func(g rme.Grant) {
@@ -134,7 +134,7 @@ func TestLockAsyncFunc(t *testing.T) {
 func TestLockAsyncMutualExclusionStress(t *testing.T) {
 	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
 		const workers, iters, keys = 12, 200, 32
-		tbl := rme.NewLockTable(4, 4, rme.WithTableSeed(7), rme.WithNodePool(true),
+		tbl := rme.NewLockTable(4, 4, rme.WithTableSeed(7),
 			rme.WithShardBackend(backend))
 		defer tbl.Close()
 		var inside [keys]atomic.Int32
@@ -186,7 +186,7 @@ func TestLockAsyncMutualExclusionStress(t *testing.T) {
 // supervisor drains the channel, abandons the grant, and the tenancy
 // surfaces as an orphan for the ordinary reclaim sweep.
 func TestLockAsyncGrantSurvivesGranteeCrash(t *testing.T) {
-	tbl := rme.NewLockTable(2, 2, rme.WithTableSeed(3), rme.WithNodePool(true))
+	tbl := rme.NewLockTable(2, 2, rme.WithTableSeed(3))
 	defer tbl.Close()
 	const key = 9001
 	var ch <-chan rme.Grant
@@ -234,7 +234,7 @@ func TestLockAsyncGrantSurvivesGranteeCrash(t *testing.T) {
 // panic orphans its tenancy and the dispatcher survives to serve the next
 // request.
 func TestLockAsyncFuncCrashOrphans(t *testing.T) {
-	tbl := rme.NewLockTable(2, 2, rme.WithTableSeed(3), rme.WithNodePool(true))
+	tbl := rme.NewLockTable(2, 2, rme.WithTableSeed(3))
 	defer tbl.Close()
 	const key = 512
 	delivered := make(chan struct{})
@@ -277,7 +277,7 @@ func TestLockAsyncSubmitCloseRace(t *testing.T) {
 	}
 	const workers = 16
 	for round := 0; round < rounds; round++ {
-		tbl := rme.NewLockTable(1, 4, rme.WithTableSeed(uint64(round)+1), rme.WithNodePool(true))
+		tbl := rme.NewLockTable(1, 4, rme.WithTableSeed(uint64(round)+1))
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -377,7 +377,7 @@ func TestLockTableClose(t *testing.T) {
 // receive → Unlock passage allocates nothing.
 func TestLockAsyncZeroAlloc(t *testing.T) {
 	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
-		tbl := rme.NewLockTable(4, 8, rme.WithTableSeed(5), rme.WithNodePool(true),
+		tbl := rme.NewLockTable(4, 8, rme.WithTableSeed(5),
 			rme.WithAsyncPrewarm(4), rme.WithShardBackend(backend))
 		defer tbl.Close()
 		const key = 77
@@ -395,7 +395,8 @@ func TestLockAsyncZeroAlloc(t *testing.T) {
 }
 
 func TestLockBatchBasics(t *testing.T) {
-	tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(1), rme.WithNodePool(true))
+	tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(1))
+	defer tbl.Close()
 	keys := keysOnDistinctStripes(tbl, 3)
 	keys = append(keys, keysOnStripe(tbl, tbl.ShardIndex(keys[0]), 2)...) // same-stripe run
 	b := tbl.LockBatch(keys)
@@ -451,7 +452,8 @@ func TestLockBatchBasics(t *testing.T) {
 }
 
 func TestLockBatchString(t *testing.T) {
-	tbl := rme.NewLockTable(4, 2, rme.WithTableSeed(2), rme.WithNodePool(true))
+	tbl := rme.NewLockTable(4, 2, rme.WithTableSeed(2))
+	defer tbl.Close()
 	names := []string{"acct/a", "acct/b", "acct/c"}
 	var keys []uint64
 	for _, n := range names {
@@ -500,7 +502,8 @@ func TestLockBatchString(t *testing.T) {
 // batch of many same-stripe keys is one tenancy (one lease, one queue
 // entry), not one per key.
 func TestLockBatchSameStripeCoalesce(t *testing.T) {
-	tbl := rme.NewLockTable(4, 2, rme.WithTableSeed(9), rme.WithNodePool(true))
+	tbl := rme.NewLockTable(4, 2, rme.WithTableSeed(9))
+	defer tbl.Close()
 	keys := keysOnStripe(tbl, 2, 8)
 	b := tbl.LockBatch(keys)
 	if got := tbl.InUse(); got != 1 {
@@ -517,66 +520,73 @@ func TestLockBatchSameStripeCoalesce(t *testing.T) {
 // fully-acquired ones plus the one whose Lock was interrupted — and a
 // sweep makes the table whole.
 func TestLockBatchCrashMidAcquire(t *testing.T) {
-	tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(4), rme.WithNodePool(true))
-	keys := keysOnDistinctStripes(tbl, 4)
-	// Crash at the third stripe's enqueue: count fresh-passage L12 steps.
-	var enqueues atomic.Int32
-	tbl.SetCrashFunc(func(port int, point string) bool {
-		return point == "L12" && enqueues.Add(1) == 3
-	})
-	func() {
-		defer func() {
-			if _, ok := rme.AsCrash(recover()); !ok {
-				t.Fatal("expected the injected mid-batch crash")
-			}
+	labelMatrix(t, func(t *testing.T, backend rme.ShardBackend, l crashLabels) {
+		tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(4), rme.WithShardBackend(backend))
+		defer tbl.Close()
+		keys := keysOnDistinctStripes(tbl, 4)
+		// Crash at the third stripe's enqueue: count fresh-passage enqueue
+		// steps.
+		var enqueues atomic.Int32
+		tbl.SetCrashFunc(func(port int, point string) bool {
+			return point == l.enqueue && enqueues.Add(1) == 3
+		})
+		func() {
+			defer func() {
+				if _, ok := rme.AsCrash(recover()); !ok {
+					t.Fatal("expected the injected mid-batch crash")
+				}
+			}()
+			tbl.LockBatch(keys)
 		}()
-		tbl.LockBatch(keys)
-	}()
-	tbl.SetCrashFunc(nil)
-	// Held stripes at death: #1 and #2 in their CS, #3 mid-Lock. #4 never
-	// reached.
-	if got := tbl.Orphans(); got != 3 {
-		t.Fatalf("Orphans = %d after mid-batch crash, want exactly the 3 held stripes", got)
-	}
-	if got := tbl.Reclaim(); got != 3 {
-		t.Fatalf("Reclaim = %d, want 3", got)
-	}
-	if !tbl.Quiesced() {
-		t.Fatal("table not quiesced after the sweep")
-	}
-	b := tbl.LockBatch(keys) // every stripe must be fully usable again
-	b.Unlock()
+		tbl.SetCrashFunc(nil)
+		// Held stripes at death: #1 and #2 in their CS, #3 mid-Lock. #4
+		// never reached.
+		if got := tbl.Orphans(); got != 3 {
+			t.Fatalf("Orphans = %d after mid-batch crash, want exactly the 3 held stripes", got)
+		}
+		if got := tbl.Reclaim(); got != 3 {
+			t.Fatalf("Reclaim = %d, want 3", got)
+		}
+		if !tbl.Quiesced() {
+			t.Fatal("table not quiesced after the sweep")
+		}
+		b := tbl.LockBatch(keys) // every stripe must be fully usable again
+		b.Unlock()
+	})
 }
 
 // TestLockBatchCrashMidRelease: a death inside Batch.Unlock orphans the
 // interrupted stripe and every not-yet-released one; the sweep completes
 // the releases.
 func TestLockBatchCrashMidRelease(t *testing.T) {
-	tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(4), rme.WithNodePool(true))
-	keys := keysOnDistinctStripes(tbl, 3)
-	b := tbl.LockBatch(keys)
-	var exits atomic.Int32
-	tbl.SetCrashFunc(func(port int, point string) bool {
-		return point == "L27" && exits.Add(1) == 2 // die starting the 2nd release
-	})
-	func() {
-		defer func() {
-			if _, ok := rme.AsCrash(recover()); !ok {
-				t.Fatal("expected the injected mid-release crash")
-			}
+	labelMatrix(t, func(t *testing.T, backend rme.ShardBackend, l crashLabels) {
+		tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(4), rme.WithShardBackend(backend))
+		defer tbl.Close()
+		keys := keysOnDistinctStripes(tbl, 3)
+		b := tbl.LockBatch(keys)
+		var exits atomic.Int32
+		tbl.SetCrashFunc(func(port int, point string) bool {
+			return point == l.inCS && exits.Add(1) == 2 // die starting the 2nd release
+		})
+		func() {
+			defer func() {
+				if _, ok := rme.AsCrash(recover()); !ok {
+					t.Fatal("expected the injected mid-release crash")
+				}
+			}()
+			b.Unlock()
 		}()
-		b.Unlock()
-	}()
-	tbl.SetCrashFunc(nil)
-	if got := tbl.Orphans(); got != 2 {
-		t.Fatalf("Orphans = %d after mid-release crash, want the 2 unreleased stripes", got)
-	}
-	if got := tbl.Reclaim(); got != 2 {
-		t.Fatalf("Reclaim = %d, want 2", got)
-	}
-	if !tbl.Quiesced() {
-		t.Fatal("table not quiesced after the sweep")
-	}
+		tbl.SetCrashFunc(nil)
+		if got := tbl.Orphans(); got != 2 {
+			t.Fatalf("Orphans = %d after mid-release crash, want the 2 unreleased stripes", got)
+		}
+		if got := tbl.Reclaim(); got != 2 {
+			t.Fatalf("Reclaim = %d, want 2", got)
+		}
+		if !tbl.Quiesced() {
+			t.Fatal("table not quiesced after the sweep")
+		}
+	})
 }
 
 // TestDoBatchExactlyOnceUnderCrashStorm: DoBatch's supervisor loop keeps
@@ -587,8 +597,9 @@ func TestLockBatchCrashMidRelease(t *testing.T) {
 func TestDoBatchExactlyOnceUnderCrashStorm(t *testing.T) {
 	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
 		const workers, iters, keys, batch = 8, 60, 64, 6
-		tbl := rme.NewLockTable(4, 3, rme.WithTableSeed(11), rme.WithNodePool(true),
+		tbl := rme.NewLockTable(4, 3, rme.WithTableSeed(11),
 			rme.WithShardBackend(backend))
+		defer tbl.Close()
 		var calls atomic.Uint64
 		var crashed atomic.Int64
 		tbl.SetCrashFunc(func(port int, point string) bool {
@@ -642,8 +653,9 @@ func TestDoBatchExactlyOnceUnderCrashStorm(t *testing.T) {
 // over the batch.
 func TestDoBatchZeroAllocAmortized(t *testing.T) {
 	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
-		tbl := rme.NewLockTable(4, 8, rme.WithTableSeed(5), rme.WithNodePool(true),
+		tbl := rme.NewLockTable(4, 8, rme.WithTableSeed(5),
 			rme.WithShardBackend(backend))
+		defer tbl.Close()
 		keys := keysOnStripe(tbl, 1, 8)
 		nop := func(uint64) {}
 		for i := 0; i < 8; i++ {
@@ -668,7 +680,8 @@ func TestDoBatchZeroAllocAmortized(t *testing.T) {
 // insertion-sort threshold): keys must come back stripe-sorted with one
 // tenancy per distinct stripe, and the exactly-once settlement holds.
 func TestLockBatchLarge(t *testing.T) {
-	tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(13), rme.WithNodePool(true))
+	tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(13))
+	defer tbl.Close()
 	rng := xrand.New(99)
 	keys := make([]uint64, 100)
 	for i := range keys {
@@ -701,45 +714,49 @@ func TestLockBatchLarge(t *testing.T) {
 // TestLockTableDoReclaimInFn: fn may sweep other stripes' orphans from
 // inside the critical section (the documented in-CS reclaim contract).
 func TestLockTableDoReclaimInFn(t *testing.T) {
-	tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(6), rme.WithNodePool(true))
-	keys := keysOnDistinctStripes(tbl, 2)
-	orphanKey, doKey := keys[0], keys[1]
-	// Manufacture an orphan on the first stripe: die inside Unlock.
-	tbl.Lock(orphanKey)
-	tbl.SetCrashFunc(func(port int, point string) bool { return point == "L27" })
-	func() {
-		defer func() {
-			if _, ok := rme.AsCrash(recover()); !ok {
-				t.Fatal("expected the injected crash")
-			}
+	labelMatrix(t, func(t *testing.T, backend rme.ShardBackend, l crashLabels) {
+		tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(6), rme.WithShardBackend(backend))
+		defer tbl.Close()
+		keys := keysOnDistinctStripes(tbl, 2)
+		orphanKey, doKey := keys[0], keys[1]
+		// Manufacture an orphan on the first stripe: die inside Unlock.
+		tbl.Lock(orphanKey)
+		tbl.SetCrashFunc(func(port int, point string) bool { return point == l.inCS })
+		func() {
+			defer func() {
+				if _, ok := rme.AsCrash(recover()); !ok {
+					t.Fatal("expected the injected crash")
+				}
+			}()
+			tbl.Unlock(orphanKey)
 		}()
-		tbl.Unlock(orphanKey)
-	}()
-	tbl.SetCrashFunc(nil)
-	if tbl.Orphans() != 1 {
-		t.Fatalf("Orphans = %d, want 1", tbl.Orphans())
-	}
-	ran := false
-	tbl.Do(doKey, func() {
-		ran = true
-		if got := tbl.Reclaim(); got != 1 {
-			t.Errorf("in-CS Reclaim = %d, want 1", got)
+		tbl.SetCrashFunc(nil)
+		if tbl.Orphans() != 1 {
+			t.Fatalf("Orphans = %d, want 1", tbl.Orphans())
 		}
+		ran := false
+		tbl.Do(doKey, func() {
+			ran = true
+			if got := tbl.Reclaim(); got != 1 {
+				t.Errorf("in-CS Reclaim = %d, want 1", got)
+			}
+		})
+		if !ran {
+			t.Fatal("fn never ran")
+		}
+		if tbl.Orphans() != 0 || !tbl.Quiesced() {
+			t.Fatal("orphan not recovered by the in-CS sweep")
+		}
+		tbl.Lock(orphanKey) // the swept stripe must be fully usable
+		tbl.Unlock(orphanKey)
 	})
-	if !ran {
-		t.Fatal("fn never ran")
-	}
-	if tbl.Orphans() != 0 || !tbl.Quiesced() {
-		t.Fatal("orphan not recovered by the in-CS sweep")
-	}
-	tbl.Lock(orphanKey) // the swept stripe must be fully usable
-	tbl.Unlock(orphanKey)
 }
 
 // TestLockTableNestedDoDistinctStripes: nesting Do on distinct stripes in
 // ascending ShardIndex order is the documented safe pattern.
 func TestLockTableNestedDoDistinctStripes(t *testing.T) {
-	tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(6), rme.WithNodePool(true))
+	tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(6))
+	defer tbl.Close()
 	keys := keysOnDistinctStripes(tbl, 3)
 	depth := 0
 	tbl.Do(keys[0], func() {

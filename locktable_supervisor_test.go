@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,7 +66,7 @@ func TestSupervisorHealsStormNoManualReclaim(t *testing.T) {
 		if testing.Short() {
 			iters = 50
 		}
-		tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(83), rme.WithNodePool(true),
+		tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(83),
 			rme.WithShardBackend(backend),
 			rme.WithSupervisor(rme.SupervisorConfig{Interval: 500 * time.Microsecond}))
 		defer tbl.Close()
@@ -206,6 +207,59 @@ func TestSupervisorQuiescedInboxDepth(t *testing.T) {
 	g := <-ch
 	g.Unlock()
 	waitQuiesced(t, tbl, 5*time.Second)
+}
+
+// TestSupervisorHealsDescriptorHolder pins supervisor-only availability
+// on the default shape. A Lock killed at M.swap dies holding its stripe's
+// MCS enqueue descriptor, which stalls every arrival until the orphan is
+// reclaimed; with no Reclaim call anywhere, a rival Lock on the stripe
+// must enter and the orphan count must drain. The flat row crashes at L14
+// (tail swung, pred not yet recorded), where the rival queues behind the
+// broken node instead. Each row logs its median crash-to-entry time.
+func TestSupervisorHealsDescriptorHolder(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		backend rme.ShardBackend
+		point   string
+	}{
+		{"default/M.swap", rme.AutoBackend, "M.swap"},
+		{"flat/L14", rme.FlatBackend, "L14"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tbl := rme.NewLockTable(1, 4, rme.WithTableSeed(41),
+				rme.WithShardBackend(c.backend),
+				rme.WithSupervisor(rme.SupervisorConfig{Interval: time.Millisecond}))
+			defer tbl.Close()
+			const key, rounds = 5, 20
+			lat := make([]time.Duration, 0, rounds)
+			for r := 0; r < rounds; r++ {
+				tbl.SetCrashFunc(crashOnceAt(c.point))
+				expectCrash(t, func() { tbl.Lock(key) })
+				crashed := time.Now()
+				tbl.SetCrashFunc(nil)
+				entered := make(chan time.Time, 1)
+				go func() {
+					tbl.Lock(key + 1) // same (only) stripe
+					at := time.Now()
+					tbl.Unlock(key + 1)
+					entered <- at
+				}()
+				select {
+				case at := <-entered:
+					lat = append(lat, at.Sub(crashed))
+				case <-time.After(5 * time.Second):
+					t.Fatalf("round %d: rival stalled behind the dead holder (orphans %d)", r, tbl.Orphans())
+				}
+				waitQuiesced(t, tbl, 5*time.Second)
+			}
+			if got := tbl.Orphans(); got != 0 {
+				t.Fatalf("Orphans = %d after the rounds, want 0", got)
+			}
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			t.Logf("%s (%s): crash -> rival entry median %v, range %v..%v over %d rounds",
+				tbl.Backend(), c.point, lat[len(lat)/2], lat[0], lat[len(lat)-1], rounds)
+		})
+	}
 }
 
 // TestSupervisorCloseJoins pins Close's supervisor join: after Close

@@ -21,10 +21,29 @@ func backendMatrix(t *testing.T, f func(t *testing.T, backend rme.ShardBackend))
 	}
 }
 
+// crashLabels are, per queue-lock shape, the crash labels of a fresh
+// passage's first enqueue step and of a release that has not yet left
+// the critical section.
+type crashLabels struct{ enqueue, inCS string }
+
+// labelMatrix runs f once per queue-lock shape with that shape's own
+// labels, for tests that inject crashes at named steps.
+func labelMatrix(t *testing.T, f func(t *testing.T, backend rme.ShardBackend, l crashLabels)) {
+	for _, c := range []struct {
+		backend rme.ShardBackend
+		labels  crashLabels
+	}{
+		{rme.FlatBackend, crashLabels{enqueue: "L12", inCS: "L27"}},
+		{rme.MCSBackend, crashLabels{enqueue: "M.enq", inCS: "M.cs"}},
+	} {
+		t.Run(c.backend.String(), func(t *testing.T) { f(t, c.backend, c.labels) })
+	}
+}
+
 // TestLockTableBackendResolution pins WithShardBackend's contract: the
 // explicit shapes are honored at any port count, and Auto (the default)
-// makes its three-way choice at the documented thresholds — flat up to
-// 32 ports, MCS from 33 to 256, tree past 256.
+// makes its choice at the documented threshold — MCS up to 256 ports,
+// tree past 256.
 func TestLockTableBackendResolution(t *testing.T) {
 	tests := []struct {
 		name  string
@@ -32,8 +51,8 @@ func TestLockTableBackendResolution(t *testing.T) {
 		opts  []rme.Option
 		want  rme.ShardBackend
 	}{
-		{"default small is flat", 4, nil, rme.FlatBackend},
-		{"auto small is flat", 32, []rme.Option{rme.WithShardBackend(rme.AutoBackend)}, rme.FlatBackend},
+		{"default small is mcs", 4, nil, rme.MCSBackend},
+		{"auto small is mcs", 32, []rme.Option{rme.WithShardBackend(rme.AutoBackend)}, rme.MCSBackend},
 		{"auto mid is mcs", 33, []rme.Option{rme.WithShardBackend(rme.AutoBackend)}, rme.MCSBackend},
 		{"auto mid upper is mcs", 256, []rme.Option{rme.WithShardBackend(rme.AutoBackend)}, rme.MCSBackend},
 		{"auto large is tree", 257, []rme.Option{rme.WithShardBackend(rme.AutoBackend)}, rme.TreeBackend},
@@ -44,6 +63,7 @@ func TestLockTableBackendResolution(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			tbl := rme.NewLockTable(2, tt.ports, tt.opts...)
+			defer tbl.Close()
 			if got := tbl.Backend(); got != tt.want {
 				t.Fatalf("Backend() = %v, want %v", got, tt.want)
 			}
@@ -62,6 +82,7 @@ func TestLockTableBackendResolution(t *testing.T) {
 
 func TestLockTableBasics(t *testing.T) {
 	tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(1))
+	defer tbl.Close()
 	if tbl.Shards() != 8 || tbl.Ports() != 2 {
 		t.Fatalf("shape = %d×%d, want 8×2", tbl.Shards(), tbl.Ports())
 	}
@@ -124,6 +145,7 @@ func TestLockTableMisusePanics(t *testing.T) {
 // answers per key, not per stripe.
 func TestLockTableStripeSemantics(t *testing.T) {
 	tbl := rme.NewLockTable(1, 2, rme.WithTableSeed(1))
+	defer tbl.Close()
 	tbl.Lock(1)
 	if tbl.Held(2) {
 		t.Fatal("Held(2) true while the stripe is held for key 1")
@@ -155,8 +177,9 @@ func TestLockTableStripeSemantics(t *testing.T) {
 func TestLockTableMutualExclusionStress(t *testing.T) {
 	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
 		const workers, iters, keys = 16, 300, 64
-		tbl := rme.NewLockTable(4, 4, rme.WithTableSeed(7), rme.WithNodePool(true),
+		tbl := rme.NewLockTable(4, 4, rme.WithTableSeed(7),
 			rme.WithShardBackend(backend))
+		defer tbl.Close()
 		var inside [keys]atomic.Int32
 		var counters [keys]int // race-detector referees, guarded by the keyed lock
 		var wg sync.WaitGroup
@@ -206,8 +229,9 @@ func TestLockTableZipfCrashStress(t *testing.T) {
 		if testing.Short() {
 			iters = 40
 		}
-		tbl := rme.NewLockTable(16, 4, rme.WithTableSeed(99), rme.WithNodePool(true),
+		tbl := rme.NewLockTable(16, 4, rme.WithTableSeed(99),
 			rme.WithShardBackend(backend))
+		defer tbl.Close()
 		var calls atomic.Uint64
 		var crashes atomic.Int64
 		tbl.SetCrashFunc(func(port int, point string) bool {
@@ -270,6 +294,7 @@ func TestLockTableZipfCrashStress(t *testing.T) {
 // the replay, and leave the stripe fully usable.
 func TestLockTableTreeBackendReclaimWith(t *testing.T) {
 	tbl := rme.NewLockTable(2, 8, rme.WithTableSeed(3), rme.WithShardBackend(rme.TreeBackend))
+	defer tbl.Close()
 	const key = 1234
 	tbl.Lock(key)
 	tbl.SetCrashFunc(func(port int, point string) bool { return point == "T.down" })
@@ -302,9 +327,11 @@ func TestLockTableTreeBackendReclaimWith(t *testing.T) {
 
 // TestLockTableReclaimWith pins the application-recovery hook: a worker
 // that dies inside the critical section leaves its key reported to the
-// sweep callback with inCS=true, and the key is free afterwards.
+// sweep callback with inCS=true, and the key is free afterwards. This is
+// the flat shape's form; the MCS and tree shapes have their own.
 func TestLockTableReclaimWith(t *testing.T) {
-	tbl := rme.NewLockTable(2, 2, rme.WithTableSeed(3))
+	tbl := rme.NewLockTable(2, 2, rme.WithTableSeed(3), rme.WithShardBackend(rme.FlatBackend))
+	defer tbl.Close()
 	const key = 1234
 	tbl.Lock(key)
 	// Die at the first step of Unlock, before the exit is published: the
@@ -337,16 +364,17 @@ func TestLockTableReclaimWith(t *testing.T) {
 	tbl.Unlock(key)
 }
 
-// TestLockTableZeroAllocPassage pins the acceptance claim: with the node
-// pool on, a warm crash-free keyed passage allocates nothing — lease
-// acquisition, key hashing (uint64 and string), locking, and release
-// included — on both shard backends (the tree shape threads the same node
-// pools through every level, so a multi-level passage is as allocation-
-// free as a flat one; 8 ports gives the tree real depth here).
+// TestLockTableZeroAllocPassage pins the acceptance claim: a warm
+// crash-free keyed passage allocates nothing — lease acquisition, key
+// hashing (uint64 and string), locking, and release included — on every
+// shard backend (the tree shape threads the same node pools through every
+// level, so a multi-level passage is as allocation-free as a flat one;
+// 8 ports gives the tree real depth here).
 func TestLockTableZeroAllocPassage(t *testing.T) {
 	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
-		tbl := rme.NewLockTable(4, 8, rme.WithTableSeed(5), rme.WithNodePool(true),
+		tbl := rme.NewLockTable(4, 8, rme.WithTableSeed(5),
 			rme.WithShardBackend(backend))
+		defer tbl.Close()
 		const key = 77
 		for i := 0; i < 8; i++ { // warm the node pools past their consume lag
 			tbl.Lock(key)

@@ -100,9 +100,9 @@ type mcsNode struct {
 // involved (the shared tail and the enqueuer's private pred record) belong
 // to different owners. This type therefore uses the sanctioned fallback: a
 // short locked descriptor. One word (enq) names the port-passage currently
-// allowed to move tail; the three-step enqueue (read tail, record pred,
-// store tail) and the empty-queue release (verify tail, clear it) run
-// under it.
+// allowed to move tail; the enqueue (reset next, read tail, record pred,
+// store tail), the empty-queue release (verify tail, clear it) and a
+// recovering waiter's re-link run under it.
 //
 // The correctness argument, in full, because the descriptor is what makes
 // every crash window O(1)-recoverable:
@@ -125,12 +125,21 @@ type mcsNode struct {
 //     from scratch; one seen in mcsWait/mcsCS has provably committed.
 //     There is no ambiguous state, which is what lets recovery decide
 //     membership of the queue without walking it.
-//  4. A committed passage's predecessor cannot finish releasing — and so
-//     cannot start a new passage, recycling its node — until this passage
-//     links pred.next (the releaser waits for the link whenever its
-//     tail-CAS view shows a successor committed). Hence the link CAS
-//     (next: 0 → my ref) never lands in a later passage of the
-//     predecessor, and needs no epoch guard of its own.
+//  4. The link CAS (pred.next: 0 → my ref) must land in the passage it
+//     queued behind, never in a later passage of the same port. A node's
+//     next is reset under the descriptor, just before its tail swing, so a
+//     new passage cannot clear its node while a descriptor holder is
+//     looking. The live path links outside the descriptor: its
+//     predecessor cannot grant a successor that has not linked (a release
+//     that sees a committed successor waits for the link), so that
+//     passage is still running when the CAS lands. A recovery re-link
+//     cannot rely on that — its dead episode may already have linked and
+//     been granted, and the predecessor may be on to a new passage — so it
+//     takes the descriptor, re-checks the grant, and links only while the
+//     passage is still ungranted. An ungranted passage's predecessor has
+//     not finished, and its next passage cannot reset next or swing tail
+//     until the descriptor is free, so the CAS either lands in the right
+//     passage or finds the link already made.
 //
 // The cost of the fallback is one uncontended CAS-acquire/store-release
 // pair per enqueue and per empty-queue release, on the arrival path only;
@@ -141,28 +150,36 @@ type mcsNode struct {
 // use under the package's port discipline (at most one goroutine per port
 // at a time).
 type MCSMutex struct {
-	ports int
-	strat wait.Strategy
+	ports   int
+	strat   wait.Strategy
+	nodes   []mcsNode
+	crashFn atomic.Pointer[CrashFunc]
 
+	// tail and enq are written several times per passage by arrivals and
+	// releasers, while the fields above are read on every step; the pads
+	// give the two write-hot words a cache line of their own.
+	_ [cacheLineSize - mcsColdSize%cacheLineSize]byte
 	// tail is the queue's single shared word: the ref of the last enqueued
 	// passage, 0 when empty. Read freely, written only under enq.
 	tail atomic.Uint64
 	// enq is the locked descriptor (see the type comment): 0 when free,
 	// else the ref of the passage currently moving tail.
 	enq atomic.Uint64
-
-	nodes   []mcsNode
-	crashFn atomic.Pointer[CrashFunc]
+	_   [cacheLineSize - 2*unsafe.Sizeof(atomic.Uint64{})%cacheLineSize]byte
 }
+
+// mcsColdSize is the size of MCSMutex's read-mostly header, the fields
+// ahead of the tail pad.
+const mcsColdSize = unsafe.Sizeof(int(0)) + unsafe.Sizeof(wait.Strategy(nil)) +
+	unsafe.Sizeof([]mcsNode(nil)) + unsafe.Sizeof(atomic.Pointer[CrashFunc]{})
 
 var _ portLock = (*MCSMutex)(nil)
 
 // NewMCS creates a recoverable MCS queue lock with the given number of
 // ports (the maximum number of concurrent passages, usually the worker
 // count). Options are the same as New's: WithWaitStrategy tunes how
-// waiters spin on their nodes; WithNodePool is accepted and ignored (MCS
-// nodes are permanent per-port state — every passage is allocation-free
-// by construction).
+// waiters spin on their nodes. MCS nodes are permanent per-port state, so
+// every passage is allocation-free by construction.
 func NewMCS(ports int, opts ...Option) *MCSMutex {
 	if ports <= 0 {
 		panic("rme: NewMCS needs at least one port")
@@ -203,10 +220,12 @@ func (m *MCSMutex) Held(port int) bool {
 // section, release not yet announced), M.rel (release announced), M.empty
 // (tail cleared under the descriptor, phase not yet retired), M.succwait
 // (release saw a committed but unlinked successor), M.grant (successor
-// known, not yet signalled). Abort windows get their own points, hit only
-// when a cancellable acquire is abandoned: M.abort.enq (cancelled spinning
-// for the descriptor, enqueue uncommitted) and M.abort.wait (cancelled in
-// the grant wait, node left linked).
+// known, not yet signalled), M.relink (a recovering waiter holds the
+// descriptor and found its passage ungranted, re-link not yet made).
+// Abort windows get their own points, hit only when a cancellable acquire
+// is abandoned: M.abort.enq (cancelled spinning for the descriptor,
+// enqueue uncommitted) and M.abort.wait (cancelled in the grant wait, node
+// left linked).
 func (m *MCSMutex) SetCrashFunc(fn CrashFunc) {
 	if fn == nil {
 		m.crashFn.Store(nil)
@@ -276,7 +295,7 @@ func (m *MCSMutex) Lock(port int) { m.LockDone(port, nil) }
 //     holder that aborts because an aborting spinner never held it at all.
 //   - Waiting for the grant: the passage stays linked in mcsWait (a crash
 //     at M.wait), and recovery is the O(1) neighborhood repair. A grant
-//     racing the cancellation is taken, not dropped (see linkAndWait).
+//     racing the cancellation is taken, not dropped (see awaitGrant).
 //
 // Either way the port owes the standard recovery Lock (the LockTable's
 // abort path runs it from the departing caller) before any fresh passage.
@@ -285,13 +304,15 @@ func (m *MCSMutex) LockDone(port int, done <-chan struct{}) bool {
 	n := &m.nodes[port]
 	w := n.word.Load()
 	epoch := w >> mcsPhaseBits
-	// Every descriptor section ends with a phase store and then the
-	// descriptor release. A crash between those two leaves enq carrying
-	// this port's passage ref with the section's work fully committed; free
-	// it here so the passage below (and every other port) can proceed. A
-	// ref found while the phase still reads mid-section (mcsEnq, mcsRel) is
-	// not a leak — the section itself is unfinished, and its recovery
-	// resumes it while still holding the descriptor.
+	// The enqueue and empty-release sections end with a phase store and
+	// then the descriptor release. A crash between those two leaves enq
+	// carrying this port's passage ref with the section's work fully
+	// committed; free it here so the passage below (and every other port)
+	// can proceed. A recovery re-link dies holding it in mcsWait, and is
+	// freed the same way: recoverWait re-runs its whole section. A ref
+	// found while the phase still reads mid-section (mcsEnq, mcsRel) is not
+	// a leak — the section itself is unfinished, and its recovery resumes
+	// it while still holding the descriptor.
 	if ph := w & mcsPhaseMask; ph != mcsEnq && ph != mcsRel &&
 		m.enq.Load() == mcsRef(port, epoch) {
 		m.unlockDesc()
@@ -326,14 +347,7 @@ func (m *MCSMutex) freeHint(int) bool {
 // acquire runs a fresh passage with the given (new) epoch, cancellable
 // through done (nil = wait forever).
 func (m *MCSMutex) acquire(port int, epoch uint64, done <-chan struct{}) bool {
-	n := &m.nodes[port]
-	// Reset the successor link before this passage's ref can reach tail.
-	// No stale linker can race this store: a successor of the previous
-	// passage that committed before its release either linked (the release
-	// observed it) or the release waited for it (see invariant 4 on the
-	// type) — either way the link preceded the passage's end.
-	n.next.Store(0)
-	n.word.Store(mcsWord(epoch, mcsEnq))
+	m.nodes[port].word.Store(mcsWord(epoch, mcsEnq))
 	m.cp(port, "M.enq")
 	if !m.lockDesc(port, epoch, done) {
 		// Cancelled spinning for the descriptor: the enqueue never
@@ -359,6 +373,10 @@ func (m *MCSMutex) enqCommit(port int, epoch uint64, done <-chan struct{}) bool 
 	n := &m.nodes[port]
 	ref := mcsRef(port, epoch)
 	if m.tail.Load() != ref {
+		// Reset the successor link before this passage's ref can reach
+		// tail, under the descriptor so a recovering re-linker of the
+		// previous passage cannot interleave (invariant 4 on the type).
+		n.next.Store(0)
 		pred := m.tail.Load()
 		n.pred.Store(pred)
 		m.tail.Store(ref)
@@ -374,7 +392,10 @@ func (m *MCSMutex) enqCommit(port int, epoch uint64, done <-chan struct{}) bool 
 	n.word.Store(mcsWord(epoch, mcsWait))
 	m.unlockDesc()
 	m.cp(port, "M.link")
-	return m.linkAndWait(port, epoch, pred, done)
+	// The live link needs no descriptor: a predecessor cannot grant a
+	// successor that has not linked (invariant 4 on the type).
+	m.nodes[mcsRefPort(pred)].next.CompareAndSwap(0, mcsRef(port, epoch))
+	return m.awaitGrant(port, epoch, done)
 }
 
 // recoverEnqueue resumes a passage that died in mcsEnq. Phase mcsEnq
@@ -392,27 +413,22 @@ func (m *MCSMutex) recoverEnqueue(port int, epoch uint64) {
 		m.enqCommit(port, epoch, nil)
 		return
 	}
-	// Never committed: restart the enqueue. The node's next was already
-	// reset by the dead attempt (or is about to be re-reset, harmlessly —
-	// nothing referenced this passage yet).
+	// Never committed: restart the enqueue under the same epoch.
 	m.acquire(port, epoch, nil)
 }
 
-// linkAndWait links this passage as pred's successor and spins — locally,
-// on this node's cell — until the grant arrives, reporting true, or until
-// done closes (nil = wait forever). Re-run after a crash it is idempotent:
-// the link CAS fails benignly once the link exists, and the wait condition
-// is the persistent phase word, so a grant delivered while the port was
-// dead is simply observed. A cancelled wait leaves the passage linked in
-// mcsWait — precisely a crash at M.wait — and the final condition re-check
-// inside the cancelled episode means a grant that raced the cancellation is
-// taken, not dropped: the passage ends granted or abandoned, never both.
-// The abandoned node's repair is the existing O(1) neighborhood recovery
-// (recoverWait re-links and re-waits), run by the departing caller's
+// awaitGrant spins — locally, on this node's cell — until the passage's
+// grant arrives, reporting true, or until done closes (nil = wait
+// forever). The wait condition is the persistent phase word, so a grant
+// delivered while the port was dead is simply observed. A cancelled wait
+// leaves the passage linked in mcsWait — precisely a crash at M.wait — and
+// the final condition re-check inside the cancelled episode means a grant
+// that raced the cancellation is taken, not dropped: the passage ends
+// granted or abandoned, never both. The abandoned node's repair is the
+// O(1) neighborhood recovery (recoverWait), run by the departing caller's
 // fix-up Lock.
-func (m *MCSMutex) linkAndWait(port int, epoch, pred uint64, done <-chan struct{}) bool {
+func (m *MCSMutex) awaitGrant(port int, epoch uint64, done <-chan struct{}) bool {
 	n := &m.nodes[port]
-	m.nodes[mcsRefPort(pred)].next.CompareAndSwap(0, mcsRef(port, epoch))
 	m.cp(port, "M.wait")
 	granted := mcsWord(epoch, mcsCS)
 	if n.word.Load() == granted {
@@ -428,17 +444,27 @@ func (m *MCSMutex) linkAndWait(port int, epoch, pred uint64, done <-chan struct{
 // recoverWait resumes a passage that died in mcsWait: enqueue committed,
 // link possibly not yet made, grant possibly delivered to the dead
 // episode. Only the O(1) neighborhood is touched — the predecessor's next
-// word and this node's own state.
+// word and this node's own state. The re-link runs under the descriptor
+// and only while the passage is still ungranted (invariant 4 on the
+// type): a dead episode's link may already have been granted, and a
+// predecessor that has moved on to a new passage must not inherit it.
 func (m *MCSMutex) recoverWait(port int, epoch uint64) {
 	n := &m.nodes[port]
-	if n.word.Load() == mcsWord(epoch, mcsCS) {
+	granted := mcsWord(epoch, mcsCS)
+	if n.word.Load() == granted {
 		return // granted while dead: wait-free re-entry
 	}
+	m.lockDesc(port, epoch, nil)
+	if n.word.Load() == granted {
+		m.unlockDesc()
+		return
+	}
+	m.cp(port, "M.relink")
 	// In mcsWait the pred record is committed and non-zero (an empty-queue
-	// enqueue goes straight to mcsCS), and the predecessor cannot have
-	// advanced past its grant to us (invariant 4 on the type), so the
-	// re-link targets the same passage of the same port.
-	m.linkAndWait(port, epoch, n.pred.Load(), nil)
+	// enqueue goes straight to mcsCS).
+	m.nodes[mcsRefPort(n.pred.Load())].next.CompareAndSwap(0, mcsRef(port, epoch))
+	m.unlockDesc()
+	m.awaitGrant(port, epoch, nil)
 }
 
 // Unlock releases the critical section held by port. Like Mutex.Unlock it

@@ -114,21 +114,34 @@ func expectCrash(t *testing.T, fn func()) {
 // the stripe fully usable. M.swap is the window the locked-descriptor
 // design exists for: the dead worker holds the enqueue descriptor, so
 // every other arrival of the stripe is stalled until the sweep runs.
+// M.relink is only reached by recovery: the passage dies at M.wait, and
+// its recovery dies again holding the descriptor before its re-link.
 func TestLockTableMCSAcquireCrashWindows(t *testing.T) {
-	for _, point := range []string{"M.enq", "M.swap", "M.link", "M.wait"} {
+	for _, point := range []string{"M.enq", "M.swap", "M.link", "M.wait", "M.relink"} {
 		t.Run(point, func(t *testing.T) {
 			tbl := rme.NewLockTable(2, 4, rme.WithTableSeed(11),
 				rme.WithShardBackend(rme.MCSBackend))
+			defer tbl.Close()
 			const key = 42
-			// M.link and M.wait need a predecessor in the queue, or the
-			// empty-queue enqueue skips them.
-			contended := point == "M.link" || point == "M.wait"
+			// M.link, M.wait and M.relink need a predecessor in the
+			// queue, or the empty-queue enqueue skips them.
+			contended := point != "M.enq" && point != "M.swap"
 			if contended {
 				tbl.Lock(key)
 			}
-			tbl.SetCrashFunc(crashOnceAt(point))
+			crash := crashOnceAt(point)
+			var relinkCrashed atomic.Bool
+			if point == "M.relink" {
+				first := crashOnceAt("M.wait")
+				crash = func(port int, p string) bool {
+					return first(port, p) || p == point && relinkCrashed.CompareAndSwap(false, true)
+				}
+			}
+			tbl.SetCrashFunc(crash)
 			expectCrash(t, func() { tbl.Lock(key) })
-			tbl.SetCrashFunc(nil)
+			if point != "M.relink" {
+				tbl.SetCrashFunc(nil) // M.relink's second crash comes in the sweep
+			}
 			if got := tbl.Orphans(); got != 1 {
 				t.Fatalf("Orphans = %d, want 1", got)
 			}
@@ -150,6 +163,10 @@ func TestLockTableMCSAcquireCrashWindows(t *testing.T) {
 			} else if n := tbl.Reclaim(); n != 1 {
 				t.Fatalf("Reclaim = %d, want 1", n)
 			}
+			tbl.SetCrashFunc(nil)
+			if point == "M.relink" && !relinkCrashed.Load() {
+				t.Fatal("the recovery never reached M.relink")
+			}
 			if !tbl.Quiesced() {
 				t.Fatal("table not quiesced after the sweep")
 			}
@@ -166,6 +183,7 @@ func TestLockTableMCSAcquireCrashWindows(t *testing.T) {
 func TestLockTableMCSReclaimWith(t *testing.T) {
 	tbl := rme.NewLockTable(2, 4, rme.WithTableSeed(3),
 		rme.WithShardBackend(rme.MCSBackend))
+	defer tbl.Close()
 	const key = 1234
 	tbl.Lock(key)
 	tbl.SetCrashFunc(func(port int, point string) bool { return point == "M.cs" })
@@ -213,6 +231,7 @@ func TestLockTableMCSReleaseCrashWindows(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			tbl := rme.NewLockTable(2, 4, rme.WithTableSeed(9),
 				rme.WithShardBackend(rme.MCSBackend))
+			defer tbl.Close()
 			const key = 7
 			tbl.Lock(key)
 			var waiter sync.WaitGroup
@@ -260,6 +279,7 @@ func TestLockTableMCSReleaseCrashWindows(t *testing.T) {
 func TestLockTableMCSDescriptorStall(t *testing.T) {
 	tbl := rme.NewLockTable(1, 4, rme.WithTableSeed(17),
 		rme.WithShardBackend(rme.MCSBackend))
+	defer tbl.Close()
 	const key = 5
 	tbl.SetCrashFunc(crashOnceAt("M.swap"))
 	expectCrash(t, func() { tbl.Lock(key) })
@@ -301,8 +321,9 @@ func TestLockTableMCSHandoffStorm(t *testing.T) {
 	if testing.Short() {
 		iters = 30
 	}
-	tbl := rme.NewLockTable(2, 8, rme.WithTableSeed(23), rme.WithNodePool(true),
+	tbl := rme.NewLockTable(2, 8, rme.WithTableSeed(23),
 		rme.WithShardBackend(rme.MCSBackend))
+	defer tbl.Close()
 	var calls atomic.Uint64
 	var crashed atomic.Int64
 	tbl.SetCrashFunc(func(port int, point string) bool {
@@ -416,6 +437,7 @@ func TestLockTableStats(t *testing.T) {
 func TestLockTableStatsOrphans(t *testing.T) {
 	tbl := rme.NewLockTable(2, 4, rme.WithTableSeed(31),
 		rme.WithShardBackend(rme.MCSBackend))
+	defer tbl.Close()
 	tbl.Lock(1)
 	tbl.SetCrashFunc(func(port int, point string) bool { return point == "M.cs" })
 	expectCrash(t, func() { tbl.Unlock(1) })

@@ -11,10 +11,9 @@ import (
 // qnode is a queue node (the paper's QNode): one per passage, holding the
 // predecessor pointer and the two hand-off signals. Each signal's cell owns
 // a reusable generation-stamped spin word (internal/wait), so waiting on a
-// node never allocates. With pooling enabled the node itself is recycled
-// for a later passage of the same port once its successor has consumed cs
-// (see consumed), making the whole crash-free passage — contended or not —
-// allocation-free.
+// node never allocates. The node itself is recycled for a later passage of
+// the same port once its successor has consumed cs (see consumed), making
+// the whole crash-free passage — contended or not — allocation-free.
 type qnode struct {
 	pred   atomic.Pointer[qnode]
 	nonNil signal // set once pred is non-nil (used by repairs)
@@ -55,7 +54,6 @@ type portFree struct {
 type Mutex struct {
 	ports int
 	strat wait.Strategy
-	pool  bool
 
 	// Sentinels (Figure 3): distinct nodes whose Pred points to themselves;
 	// special is the pre-completed node the first queue entry hangs off.
@@ -98,7 +96,6 @@ func New(ports int, opts ...Option) *Mutex {
 	m := &Mutex{
 		ports:    ports,
 		strat:    cfg.strat,
-		pool:     cfg.pool,
 		crashN:   new(qnode),
 		incsN:    new(qnode),
 		exitN:    new(qnode),
@@ -142,13 +139,11 @@ func (m *Mutex) Held(port int) bool {
 }
 
 // getNode supplies the node for a fresh passage: recycled from the port's
-// free list when pooling is on and a retired node is provably reusable,
-// freshly allocated otherwise.
+// free list when a retired node is provably reusable, freshly allocated
+// otherwise.
 func (m *Mutex) getNode(port int) *qnode {
-	if m.pool {
-		if n := m.popFree(port); n != nil {
-			return n
-		}
+	if n := m.popFree(port); n != nil {
+		return n
 	}
 	return new(qnode)
 }
@@ -194,9 +189,6 @@ func (m *Mutex) popFree(port int) *qnode {
 // pushFree retires a node whose exit completed (line 29). If the list is
 // full the oldest entry is dropped for the GC to collect.
 func (m *Mutex) pushFree(port int, n *qnode) {
-	if !m.pool {
-		return
-	}
 	f := &m.free[port]
 	if f.n == poolCap {
 		copy(f.nodes[:], f.nodes[1:])

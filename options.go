@@ -47,7 +47,6 @@ type Option func(*config)
 
 type config struct {
 	strat        wait.Strategy
-	pool         bool
 	treeStats    bool
 	seed         uint64
 	seedSet      bool
@@ -95,15 +94,6 @@ func WithWaitStrategy(s WaitStrategy) Option {
 			c.strat = s
 		}
 	}
-}
-
-// WithNodePool recycles queue nodes through a small per-port free list
-// once their successor is provably done with them, making the crash-free
-// Lock/Unlock fast path allocation-free. Nodes whose reuse cannot be
-// proven safe (a queue repair was in flight) are conservatively leaked to
-// the garbage collector, so crash recovery is unaffected.
-func WithNodePool(enabled bool) Option {
-	return func(c *config) { c.pool = enabled }
 }
 
 // WithTableSeed fixes a LockTable's key-hashing seed, making the

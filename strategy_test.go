@@ -3,11 +3,10 @@ package rme_test
 // Tests for the wait-strategy and node-pool dimensions of the runtime
 // lock: every strategy must preserve mutual exclusion and crash recovery,
 // the parking strategy must survive heavy oversubscription (ports ≫
-// GOMAXPROCS), and pooling must make the crash-free fast path
+// GOMAXPROCS), and node recycling must make the crash-free fast path
 // allocation-free without breaking queue repair.
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -32,40 +31,39 @@ func allStrategies() []namedStrategy {
 }
 
 // TestMutualExclusionAllStrategies is the core stress test across the
-// strategy × pooling matrix, refereed by the race detector through the
-// unsynchronized counter.
+// strategy axis, refereed by the race detector through the unsynchronized
+// counter. Every Mutex recycles its queue nodes, so each cell runs pooled;
+// the /pool=true suffix keeps the subtest names stable.
 func TestMutualExclusionAllStrategies(t *testing.T) {
 	for _, s := range allStrategies() {
-		for _, pool := range []bool{false, true} {
-			s, pool := s, pool
-			t.Run(fmt.Sprintf("%s/pool=%v", s.name, pool), func(t *testing.T) {
-				t.Parallel()
-				const workers, iters = 8, 300
-				m := rme.New(workers, rme.WithWaitStrategy(s.st), rme.WithNodePool(pool))
-				counter := 0
-				var inside atomic.Int32
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(port int) {
-						defer wg.Done()
-						for i := 0; i < iters; i++ {
-							m.Lock(port)
-							if inside.Add(1) != 1 {
-								t.Errorf("two goroutines inside the CS")
-							}
-							counter++
-							inside.Add(-1)
-							m.Unlock(port)
+		s := s
+		t.Run(s.name+"/pool=true", func(t *testing.T) {
+			t.Parallel()
+			const workers, iters = 8, 300
+			m := rme.New(workers, rme.WithWaitStrategy(s.st))
+			counter := 0
+			var inside atomic.Int32
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(port int) {
+					defer wg.Done()
+					for i := 0; i < iters; i++ {
+						m.Lock(port)
+						if inside.Add(1) != 1 {
+							t.Errorf("two goroutines inside the CS")
 						}
-					}(w)
-				}
-				wg.Wait()
-				if counter != workers*iters {
-					t.Fatalf("counter = %d, want %d", counter, workers*iters)
-				}
-			})
-		}
+						counter++
+						inside.Add(-1)
+						m.Unlock(port)
+					}
+				}(w)
+			}
+			wg.Wait()
+			if counter != workers*iters {
+				t.Fatalf("counter = %d, want %d", counter, workers*iters)
+			}
+		})
 	}
 }
 
@@ -80,7 +78,7 @@ func TestOversubscribedAllStrategies(t *testing.T) {
 	for _, s := range allStrategies() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
-			m := rme.New(ports, rme.WithWaitStrategy(s.st), rme.WithNodePool(true))
+			m := rme.New(ports, rme.WithWaitStrategy(s.st))
 			counter := 0
 			var wg sync.WaitGroup
 			for w := 0; w < ports; w++ {
@@ -109,16 +107,15 @@ func TestOversubscribedAllStrategies(t *testing.T) {
 }
 
 // TestOversubscribedCrashStormSpinPark injects random crashes while the
-// lock is heavily oversubscribed under the parking strategy with pooling
-// on: crashes abandon published waiters whose stale wakes may target
-// parked goroutines, and recovery repairs must refuse unsafe node reuse.
+// lock is heavily oversubscribed under the parking strategy: crashes
+// abandon published waiters whose stale wakes may target parked
+// goroutines, and recovery repairs must refuse unsafe node reuse.
 func TestOversubscribedCrashStormSpinPark(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	ports := 16 * procs
 	const iters = 8
 	m := rme.New(ports,
-		rme.WithWaitStrategy(rme.SpinParkWaitStrategy(4)), // park almost immediately
-		rme.WithNodePool(true))
+		rme.WithWaitStrategy(rme.SpinParkWaitStrategy(4))) // park almost immediately
 	var calls atomic.Uint64
 	m.SetCrashFunc(func(port int, point string) bool {
 		return xrand.Mix64(calls.Add(1))%1499 == 0
@@ -150,8 +147,8 @@ func TestOversubscribedCrashStormSpinPark(t *testing.T) {
 	t.Logf("survived %d injected crashes with %d ports on %d procs", crashes.Load(), ports, procs)
 }
 
-// TestCrashStormWithPooling re-runs the random crash storm with node
-// pooling enabled: recycled nodes must never leak a stale pred, signal
+// TestCrashStormWithPooling re-runs the random crash storm on recycled
+// nodes: a recycled node must never leak a stale pred, signal
 // bit, or published waiter into a later passage, and repair must never
 // adopt a node that was recycled under it.
 func TestCrashStormWithPooling(t *testing.T) {
@@ -160,7 +157,7 @@ func TestCrashStormWithPooling(t *testing.T) {
 		t.Run(s.name, func(t *testing.T) {
 			t.Parallel()
 			const workers, iters = 6, 120
-			m := rme.New(workers, rme.WithWaitStrategy(s.st), rme.WithNodePool(true))
+			m := rme.New(workers, rme.WithWaitStrategy(s.st))
 			var calls atomic.Uint64
 			m.SetCrashFunc(func(port int, point string) bool {
 				return xrand.Mix64(calls.Add(1))%997 == 0
@@ -191,8 +188,7 @@ func TestCrashStormWithPooling(t *testing.T) {
 func TestTreeWithOptions(t *testing.T) {
 	const n, iters = 9, 40
 	tm := rme.NewTree(n,
-		rme.WithWaitStrategy(rme.SpinParkWaitStrategy(16)),
-		rme.WithNodePool(true))
+		rme.WithWaitStrategy(rme.SpinParkWaitStrategy(16)))
 	var calls atomic.Uint64
 	tm.SetCrashFunc(func(port int, point string) bool {
 		return xrand.Mix64(calls.Add(1))%1999 == 0
@@ -226,7 +222,7 @@ func TestTreeWithOptions(t *testing.T) {
 // allocates nothing — the queue node is recycled and an already-set
 // cs signal short-circuits before publishing a spin word.
 func TestFastPathZeroAllocs(t *testing.T) {
-	m := rme.New(1, rme.WithNodePool(true))
+	m := rme.New(1)
 	for i := 0; i < 2*4; i++ { // warm the free list past its consume lag
 		m.Lock(0)
 		m.Unlock(0)
@@ -255,7 +251,7 @@ func TestContendedZeroAllocs(t *testing.T) {
 			if s.name != "spin" && runtime.GOMAXPROCS(0) > 1 {
 				ports = 4
 			}
-			m := rme.New(ports, rme.WithWaitStrategy(s.st), rme.WithNodePool(true))
+			m := rme.New(ports, rme.WithWaitStrategy(s.st))
 			run := func(total int) {
 				var wg sync.WaitGroup
 				per := total / ports
@@ -292,7 +288,7 @@ func TestContendedZeroAllocs(t *testing.T) {
 // retired node must not be handed out again. The crash hook parks a
 // repairing port inside its repair CS while the victim port runs passages.
 func TestPoolRefusesReuseDuringRepair(t *testing.T) {
-	m := rme.New(3, rme.WithNodePool(true))
+	m := rme.New(3)
 
 	// Port 2 crashes at L13 (node published, FAS not yet executed) so its
 	// next Lock must run a queue repair — and its node is not in the tail

@@ -173,7 +173,7 @@ func assertRestoredHeals(t *testing.T, nt *rme.LockTable, keys, held []uint64, o
 // matrix fast and debuggable.
 func TestSyscrashCrashAllRestore(t *testing.T) {
 	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
-		tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(0x5eed), rme.WithNodePool(true),
+		tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(0x5eed),
 			rme.WithShardBackend(backend))
 		d := crashAll(t, tbl)
 		tbl.Close()
@@ -197,7 +197,7 @@ func TestSyscrashProcessBoundary(t *testing.T) {
 		t.Skip("child process run; the parent drives TestSyscrashChildRestore directly")
 	}
 	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
-		tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(0x5eed), rme.WithNodePool(true),
+		tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(0x5eed),
 			rme.WithShardBackend(backend))
 		d := crashAll(t, tbl)
 		tbl.Close()

@@ -106,8 +106,8 @@ func TreeArity(n int) int {
 }
 
 // NewTree creates an n-process arbitration-tree mutex with the paper's
-// default node degree. Options (wait strategy, node pooling, per-level
-// instrumentation) are threaded through to every tree node's Mutex.
+// default node degree. Options (wait strategy, per-level instrumentation)
+// are threaded through to every tree node's Mutex.
 func NewTree(n int, opts ...Option) *TreeMutex {
 	if n <= 0 {
 		panic("rme: NewTree needs at least one process")

@@ -186,7 +186,7 @@ func TestTreePanicsOnMisuse(t *testing.T) {
 // a contended run must record hand-off wakes at the leaf level.
 func TestTreeLevelStats(t *testing.T) {
 	const n, iters = 8, 50
-	m := rme.NewTree(n, rme.WithTreeInstrumentation(true), rme.WithNodePool(true))
+	m := rme.NewTree(n, rme.WithTreeInstrumentation(true))
 	ls := m.LevelStats()
 	if len(ls) != m.Levels() {
 		t.Fatalf("LevelStats len = %d, want %d levels", len(ls), m.Levels())
