@@ -139,8 +139,9 @@ func TestDispatchGoroutineBound(t *testing.T) {
 // TestDispatchPoolOneStorm drives a 64-stripe async storm through a
 // single shared worker: no stripe may starve (every request is granted)
 // and the per-submitter FIFO grant order must survive on every stripe —
-// the run queue's fairness spill is what makes both hold when one worker
-// serves a hot stripe alongside 63 others.
+// one batch per engagement, with a still-busy stripe re-queued at the run
+// queue's tail, is what makes both hold when one worker serves a hot
+// stripe alongside 63 others.
 func TestDispatchPoolOneStorm(t *testing.T) {
 	const shards, perStripe = 64, 50
 	tbl := rme.NewLockTable(shards, 2, rme.WithTableSeed(1), rme.WithDispatcherPool(1))
@@ -182,6 +183,86 @@ func TestDispatchPoolOneStorm(t *testing.T) {
 		}
 	}
 	waitFor(t, 5*time.Second, "table to quiesce", tbl.Quiesced)
+}
+
+// TestDispatchSpawnsPastClaimedWorker pins the executor's claim rule: an
+// enqueue commits a worker to its stripe by decrementing the idle count
+// itself, so a submit right behind one that readied the pool's only idle
+// worker sees no idle worker and spawns another — even though, at
+// GOMAXPROCS(1), the readied worker has not run yet. Were the count left
+// for the woken worker to decrement, the second submit would read the
+// stale count, skip the spawn, and queue its stripe behind a worker about
+// to block on a key the test holds: hi's grant would never arrive.
+func TestDispatchSpawnsPastClaimedWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(1), rme.WithDispatcherPool(2))
+	defer tbl.Close()
+	keys := keysOnDistinctStripes(tbl, 2)
+	lo, hi := keys[0], keys[1]
+
+	// One round trip leaves exactly one worker, idle in its receive.
+	(<-tbl.LockAsync(hi)).Unlock()
+	waitFor(t, 5*time.Second, "one idle worker", func() bool {
+		ds := tbl.Stats().Dispatcher
+		return ds.Workers == 1 && ds.Engaged == 0
+	})
+	runtime.Gosched()
+
+	// Back to back: x claims the idle worker, which will block on lo; y
+	// must get a worker of its own. Waiting for hi while holding lo is in
+	// ascending ShardIndex order, so it is legal.
+	tbl.Lock(lo)
+	x := tbl.LockAsync(lo)
+	y := tbl.LockAsync(hi)
+	select {
+	case g := <-y:
+		g.Unlock()
+	case <-time.After(5 * time.Second):
+		t.Error("hi's grant never arrived: its stripe was queued behind the worker blocked on lo")
+		tbl.Unlock(lo)
+		(<-x).Unlock()
+		(<-y).Unlock()
+		return
+	}
+	tbl.Unlock(lo)
+	(<-x).Unlock()
+}
+
+// TestDispatchCloseServesQueuedStripes pins Close's exit rule: a worker
+// leaves only once the run queue is empty. With a pool of 2, one worker
+// blocks delivering x on lo, which the test holds, while hi still sits in
+// the queue when Close runs. Had the other worker taken the stop signal
+// with hi queued, its final drain would walk the stripes in index order
+// and block on lo behind the first worker, and y would never arrive. The
+// choice between the stop signal and a queued stripe is random, so the
+// scenario repeats on fresh tables; GOMAXPROCS(1) keeps both stripes
+// queued until Close has run.
+func TestDispatchCloseServesQueuedStripes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 16
+	for round := 0; round < rounds; round++ {
+		tbl := rme.NewLockTable(8, 2, rme.WithTableSeed(1), rme.WithDispatcherPool(2))
+		keys := keysOnDistinctStripes(tbl, 2)
+		lo, hi := keys[0], keys[1]
+
+		// One dependency chain on two workers, as the pool bound allows.
+		tbl.Lock(lo)
+		x := tbl.LockAsync(lo)
+		y := tbl.LockAsync(hi)
+		tbl.Close()
+		select {
+		case g := <-y:
+			g.Unlock()
+		case <-time.After(5 * time.Second):
+			t.Errorf("round %d: hi's grant never arrived after Close: a worker exited with hi still queued", round)
+			tbl.Unlock(lo)
+			(<-x).Unlock()
+			(<-y).Unlock()
+			return
+		}
+		tbl.Unlock(lo)
+		(<-x).Unlock()
+	}
 }
 
 // TestDispatchPoolWiderThanStripes runs a pool wider than the stripe

@@ -154,12 +154,6 @@
 //     algorithm, opt in with WithShardBackend(FlatBackend); Backend()
 //     reports what was built.
 //
-// Arenas can also be heterogeneous in wait strategy: WithShardStrategy
-// overrides the waiting discipline per shard (hot shards on
-// SpinWaitStrategy for handoff latency, the cold tail on
-// SpinParkWaitStrategy so idle stripes cost parked goroutines), without
-// affecting any correctness property.
-//
 // # Asynchronous and batched acquisition
 //
 // Blocking Lock parks one goroutine per waiting key. At service scale the
@@ -167,11 +161,11 @@
 //
 //   - LockAsync(key) enqueues and returns a channel; LockAsyncFunc takes
 //     a callback. A shared dispatcher runtime — a bounded pool of
-//     WithDispatcherPool(n) workers pulling runnable stripes off a
-//     lock-free run queue, parked on the wait engine when the queue is
-//     empty — works through each stripe's requests in FIFO order (at
-//     most one worker engages a stripe at a time) and completes each
-//     with a Grant, so ten thousand in-flight requests cost ten thousand
+//     WithDispatcherPool(n) workers receiving runnable stripes from one
+//     buffered channel, and blocked in that receive when there is
+//     nothing to deliver — works through each stripe's requests in FIFO
+//     order (at most one worker engages a stripe at a time) and completes
+//     each with a Grant, so ten thousand in-flight requests cost ten thousand
 //     queue nodes, not ten thousand goroutine stacks, and ten thousand
 //     stripes cost n dispatcher goroutines, not ten thousand
 //     (TableStats.Dispatcher reports the pool's gauges). The
@@ -206,9 +200,8 @@
 // pool-liveness note in locktable_async.go). Crash-free async and batch
 // passages allocate nothing once pools are warm (amortized over the
 // batch for DoBatch), as Lock's do; WithDispatcherPool bounds the worker
-// pool, WithDispatcherSpin sizes each worker's idle spin window, and
-// WithAsyncPrewarm warms the request free lists and spawns the pool
-// eagerly for first-request allocation budgets.
+// pool, and WithAsyncPrewarm warms the request free lists and spawns the
+// pool eagerly for first-request allocation budgets.
 //
 // # Deadlines, TryLock, and aborts
 //
@@ -259,8 +252,8 @@
 // reclaim loop so crashed tenancies are swept. WithSupervisor moves it
 // into the table. A supervised table runs one background goroutine that
 // ticks on a jittered interval and, each tick, sweeps orphans under a
-// liveness budget. Up to MaxHealsPerTick stripes are healed per tick, a
-// round-robin cursor guaranteeing every stripe is reached within a few
+// liveness budget. Up to four stripes are healed per tick, a round-robin
+// cursor guaranteeing every stripe is reached within a few
 // ticks even mid-storm. Each heal claims every orphan on its stripe
 // before recovering any of them — the same two-phase discipline Reclaim
 // uses, so batched recovery cannot hold-and-wait on dead tenancies

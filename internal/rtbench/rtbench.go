@@ -295,9 +295,9 @@ func Scenarios() []Scenario {
 			// the keyed_async gate pins at 0.000 on every backend and the
 			// allocation profile of this very shape confirms (every
 			// steady-state site is construction). Zipf keeps a hot
-			// minority of stripes runnable at once, so the run queue and the
-			// runnext locality slot both see traffic rather than degenerating
-			// into one stripe bouncing through one worker.
+			// minority of stripes runnable at once, so several stripes wait
+			// in the run queue together rather than degenerating into one
+			// stripe bouncing through one worker.
 			Name: "keyed_manyshards", File: "keyed_pooled", Keyed: true, Async: true, Zipf: true,
 			Ports:  func() int { return 32 },
 			Iters:  40_000,

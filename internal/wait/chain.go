@@ -198,37 +198,6 @@ func (c *Chain) Wake() {
 	n.cell.Wake()
 }
 
-// Broadcast wakes every currently registered waiter. It is the barrier
-// primitive for state flips that invalidate every parked episode at once —
-// a LockTable closing, whose idle dispatcher workers must all re-check
-// their condition and exit — where handing out wakes one at a time would
-// leave waiters parked behind a condition that already changed.
-// Waiters registering concurrently with the broadcast are covered by the
-// no-lost-wake contract unchanged: they re-check their condition after
-// registration and cancel themselves if the flip already happened.
-func (c *Chain) Broadcast() {
-	if c.count.Load() == 0 {
-		return
-	}
-	c.mu.Lock()
-	n := c.head
-	for x := n; x != nil; x = x.next {
-		x.queued = false
-		c.count.Add(-1)
-	}
-	c.head, c.tail = nil, nil
-	c.mu.Unlock()
-	// Deliver outside the lock, capturing each next link before its wake:
-	// a woken waiter recycles its node (rewriting next) as soon as the wake
-	// reaches it, so the traversal must be ahead of every delivery.
-	for n != nil {
-		next := n.next
-		n.next = nil
-		n.cell.Wake()
-		n = next
-	}
-}
-
 // Waiters reports how many waiters are currently registered — a racy
 // snapshot for tests and introspection.
 func (c *Chain) Waiters() int { return int(c.count.Load()) }

@@ -232,8 +232,11 @@ func TestAsyncPrewarmPerShard(t *testing.T) {
 	if got, want := tbl.exec.spawned.Load(), tbl.exec.bound; got != want {
 		t.Fatalf("prewarm spawned %d pool workers, want the full bound %d", got, want)
 	}
-	// Let the eagerly-spawned workers reach their idle parks (the first
-	// park lazily creates each chain cell's reusable channel) so the
+	if got, want := tbl.exec.idle.Load(), tbl.exec.bound; got != want {
+		t.Fatalf("prewarm left %d workers claimable, want all %d idle", got, want)
+	}
+	// Let the eagerly-spawned workers reach their run-queue receives
+	// (blocking there may allocate the runtime's wait records) so the
 	// measurement below sees only the request-node path.
 	time.Sleep(20 * time.Millisecond)
 	if avg := testing.AllocsPerRun(50, func() {
@@ -243,53 +246,6 @@ func TestAsyncPrewarmPerShard(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("prewarmed request-node path allocs = %v, want 0", avg)
-	}
-}
-
-// TestShardStrategyHook pins WithShardStrategy's wiring: a non-nil hook
-// result overrides the table-wide strategy for exactly that shard's lock
-// (an MCSMutex, the default shape at two ports) and lease pool, a nil
-// result keeps the default, and the override reaches every tree node when
-// the shard backend is the arbitration tree.
-func TestShardStrategyHook(t *testing.T) {
-	tbl := NewLockTable(3, 2,
-		WithWaitStrategy(YieldWaitStrategy()),
-		WithShardStrategy(func(shard int) WaitStrategy {
-			if shard == 1 {
-				return SpinWaitStrategy()
-			}
-			return nil
-		}))
-	defer tbl.Close()
-	want := []string{"yield", "spin", "yield"}
-	for i := range tbl.shards {
-		if got := tbl.shards[i].lk.(*MCSMutex).strat.String(); got != want[i] {
-			t.Errorf("shard %d lock strategy = %s, want %s", i, got, want[i])
-		}
-		if got := tbl.shards[i].pool.strat.String(); got != want[i] {
-			t.Errorf("shard %d lease strategy = %s, want %s", i, got, want[i])
-		}
-	}
-
-	tree := NewLockTable(2, 8,
-		WithShardBackend(TreeBackend),
-		WithShardStrategy(func(shard int) WaitStrategy {
-			if shard == 0 {
-				return SpinParkWaitStrategy(16)
-			}
-			return nil
-		}))
-	defer tree.Close()
-	wantTree := []string{"spinpark", "yield"}
-	for i := range tree.shards {
-		tm := tree.shards[i].lk.(*TreeMutex)
-		for l, level := range tm.nodes {
-			for g, node := range level {
-				if got := node.strat.String(); got != wantTree[i] {
-					t.Errorf("tree shard %d node [%d][%d] strategy = %s, want %s", i, l, g, got, wantTree[i])
-				}
-			}
-		}
 	}
 }
 
@@ -376,61 +332,6 @@ func TestTreePathTable(t *testing.T) {
 				div *= tm.arity
 			}
 		}
-	}
-}
-
-// TestDispatchRunQueueLaggingConsumer pins the run queue's overflow check
-// against a consumer preempted between its head CAS and its seq store. That
-// consumer leaves its slot's sequence one lap behind while the ring has
-// room, and a producer that laps onto the slot must wait for the store —
-// not report overflow — and FIFO order must survive the wait.
-func TestDispatchRunQueueLaggingConsumer(t *testing.T) {
-	var q runQueue
-	q.init(2)
-	a, b := new(lockShard), new(lockShard)
-	q.enqueue(a)
-	// A consumer claims a (wins the head CAS) and is preempted before it
-	// stores the slot's sequence.
-	if !q.head.CompareAndSwap(0, 1) {
-		t.Fatal("head CAS failed on a one-entry queue")
-	}
-	slot := &q.slots[0]
-	if slot.sh != a {
-		t.Fatal("slot 0 does not hold the first enqueue")
-	}
-	q.enqueue(b)
-	if got := q.dequeue(); got != b {
-		t.Fatalf("dequeue = %p, want b (%p)", got, b)
-	}
-	// One stripe is claimed, none queued: the ring has room, but the next
-	// enqueue laps onto the lagging consumer's slot.
-	enqueued := make(chan any, 1)
-	go func() {
-		defer func() { enqueued <- recover() }()
-		q.enqueue(b)
-	}()
-	select {
-	case r := <-enqueued:
-		t.Fatalf("enqueue completed before the lagging consumer's store (panic: %v)", r)
-	case <-time.After(20 * time.Millisecond):
-	}
-	// The lagging consumer finishes its dequeue of position 0, freeing the
-	// slot for position 0+size.
-	slot.sh = nil
-	slot.seq.Store(q.mask + 1)
-	select {
-	case r := <-enqueued:
-		if r != nil {
-			t.Fatalf("enqueue panicked: %v", r)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("enqueue never completed after the lagging consumer's store")
-	}
-	if got := q.dequeue(); got != b {
-		t.Fatalf("dequeue = %p, want b (%p)", got, b)
-	}
-	if got := q.dequeue(); got != nil {
-		t.Fatalf("dequeue on an empty queue = %p", got)
 	}
 }
 

@@ -78,9 +78,7 @@ type LockTable struct {
 
 	// exec is the shared dispatcher runtime the async tier runs on — a
 	// bounded pool of workers multiplexed over every stripe's delivery
-	// work (see dispatch.go; WithDispatcherPool sizes it,
-	// WithDispatcherSpin sizes each worker's spin window before an idle
-	// park).
+	// work (see dispatch.go; WithDispatcherPool sizes it).
 	exec executor
 
 	// freeMu guards the recycled Batch free list (request nodes recycle
@@ -252,9 +250,8 @@ var tableSeedClock atomic.Uint64
 // ports ports each. Options are threaded through to every shard's lock
 // (wait strategy); WithShardBackend selects the lock shape each shard is
 // built from (flat Mutex, arbitration TreeMutex, MCSMutex, or the
-// automatic port-count choice — the default), WithShardStrategy overrides
-// the wait strategy per shard for heterogeneous arenas, and WithTableSeed
-// pins the key-to-shard mapping for reproducibility.
+// automatic port-count choice — the default), and WithTableSeed pins the
+// key-to-shard mapping for reproducibility.
 //
 // Sizing: shards bounds how many keys can be held concurrently (one holder
 // per stripe), ports bounds how many workers can be queued on one stripe
@@ -291,25 +288,18 @@ func newTableArena(shards, ports int, seed uint64, backend ShardBackend, cfg con
 		ports:   ports,
 		backend: backend,
 	}
-	t.exec.init(t, cfg.dispatcherPool(), cfg.dispSpin)
+	t.exec.init(t, cfg.dispatcherPool())
 	for i := range t.shards {
-		// Resolve the shard's effective strategy (table-wide, or the
-		// WithShardStrategy override), then wrap it with the stripe's
-		// stats collector — the counters LockTable.Stats reports. The
-		// wrap is outermost, so a caller-instrumented strategy's own sink
-		// is superseded per episode; read the table's Stats instead of
-		// wrapping when the table is the thing being measured.
-		eff := cfg.strat
-		if cfg.shardStrat != nil {
-			if s := cfg.shardStrat(i); s != nil {
-				eff = s
-			}
-		}
+		// Wrap the table's strategy with the stripe's stats collector —
+		// the counters LockTable.Stats reports. The wrap is outermost, so
+		// a caller-instrumented strategy's own sink is superseded per
+		// episode; read the table's Stats instead of wrapping when the
+		// table is the thing being measured.
 		stats := &wait.Stats{}
 		// Append after the caller's options so the instrumented strategy
 		// wins over a table-wide WithWaitStrategy.
 		shOpts := append(append(make([]Option, 0, len(opts)+1), opts...),
-			WithWaitStrategy(wait.Instrumented(eff, stats)))
+			WithWaitStrategy(wait.Instrumented(cfg.strat, stats)))
 		sh := &t.shards[i]
 		switch backend {
 		case TreeBackend:

@@ -23,20 +23,6 @@ import (
 // goroutine stack each; the stripe's queue wait is paid by its dispatcher
 // alone, parked on the same wait engine as every other wait in the stack.
 //
-// Who that dispatcher *is* changed with the shared runtime (dispatch.go).
-// Originally every stripe owned a lazily-started dispatcher goroutine —
-// one parked goroutine per stripe that had ever seen a LockAsync, which
-// is exactly the footprint-tracks-capacity cost this library exists to
-// avoid, and hostile at service scale where a table holds thousands of
-// stripes. Now a bounded pool of WithDispatcherPool(n) workers serves
-// every stripe: a submission marks its stripe runnable on a shared run
-// queue, and whichever worker picks the stripe up becomes its dispatcher
-// for one batch. The engagement protocol (dispatch.go's run-state word)
-// preserves the at-most-one-dispatcher-per-stripe invariant, so every
-// guarantee below — FIFO grant order, Grant ownership, crash absorption —
-// is unchanged; goroutine cost now tracks actual delivery concurrency,
-// min(n, active stripes), not the stripe count.
-//
 // The pool bound buys that footprint with one new liveness caveat. A
 // worker delivering a grant blocks until the stripe's current holder
 // settles, and a blocked worker occupies a pool slot; a workload whose
@@ -293,7 +279,7 @@ func (t *LockTable) LockAsyncFunc(key uint64, fn func(Grant)) {
 }
 
 // submit pushes r onto its stripe's inbox and marks the stripe runnable
-// on the shared executor (which wakes a parked worker, or spawns one
+// on the shared executor (which claims an idle worker, or spawns one
 // while the pool is under its bound — the spawn is the submit path's
 // only possible allocation, and WithAsyncPrewarm's eager pool removes
 // even that).
@@ -361,15 +347,16 @@ func (t *LockTable) drainClosed(sh *lockShard) {
 // race (all deliveries of a stripe are serialized through one mutex).
 //
 // Close does not interrupt in-flight deliveries, and does not block on
-// them either: it broadcasts the pool's idle chain and returns, and each
+// them either: it closes the pool's stop channel and returns, and each
 // worker exits once the run queue is empty, after completing the
-// requests it already holds and running one last drain pass. A worker's
-// goroutine therefore only winds down if the stripes' outstanding
-// tenancies eventually settle (or a sweep reclaims their orphans) — the
-// same liveness assumption every waiter in the table lives under. Close
-// must not wait for that itself: the holder a worker is blocked behind
-// can be a grant parked in Close's caller's own hands (see
-// TestLockTableClose's close-then-settle pattern).
+// requests it already holds and running one last drain pass. Serving the
+// queue to the end means a stripe queued behind one a peer is blocked on
+// still gets a worker. A worker's goroutine therefore only winds down if
+// the stripes' outstanding tenancies eventually settle (or a sweep
+// reclaims their orphans) — the same liveness assumption every
+// waiter in the table lives under. Close must not wait for that itself:
+// the holder a worker is blocked behind can be a grant parked in Close's
+// caller's own hands (see TestLockTableClose's close-then-settle pattern).
 func (t *LockTable) Close() {
 	if t.closed.Swap(true) {
 		return
@@ -379,9 +366,9 @@ func (t *LockTable) Close() {
 	if t.sup != nil {
 		t.sup.join()
 	}
-	// Wake the whole pool: parked workers re-check their condition (which
-	// includes closed), run their final drains, and exit.
-	t.exec.idle.Broadcast()
+	// Release the whole pool: each worker empties the run queue, runs its
+	// final drain and exits.
+	close(t.exec.stop)
 }
 
 // deliverBatch swaps one inbox batch and delivers every request in it,

@@ -676,7 +676,7 @@ func TestDoBatchZeroAllocAmortized(t *testing.T) {
 	})
 }
 
-// TestLockBatchLarge exercises the heapsort path (batches past the
+// TestLockBatchLarge exercises the sort.Sort path (batches past the
 // insertion-sort threshold): keys must come back stripe-sorted with one
 // tenancy per distinct stripe, and the exactly-once settlement holds.
 func TestLockBatchLarge(t *testing.T) {

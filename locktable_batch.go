@@ -1,6 +1,9 @@
 package rme
 
-import "context"
+import (
+	"context"
+	"sort"
+)
 
 // This file is the batched half of the keyed lock service: multi-key
 // acquisition that coalesces same-stripe keys under one tenancy.
@@ -259,57 +262,39 @@ func (t *LockTable) DoBatch(keys []uint64, fn func(key uint64)) {
 	}
 }
 
-// sortByStripe orders the (keys, shard) pairs by (shard, key): insertion
-// sort for the small batches the API is built for, a heapsort past that
-// so a degenerate huge batch stays O(n log n) — both in place, neither
-// allocating.
+// sortByStripe orders the (keys, shard) pairs by (shard, key), in place
+// and without allocating: insertion sort for the small batches the API is
+// built for, where sort.Sort's interface calls would cost about a tenth
+// of each key's acquisition, and sort.Sort past that, so a huge batch
+// stays O(n log n).
 func (b *Batch) sortByStripe() {
-	if len(b.keys) <= 32 {
-		for i := 1; i < len(b.keys); i++ {
-			k, s := b.keys[i], b.shard[i]
-			j := i - 1
-			for j >= 0 && (b.shard[j] > s || (b.shard[j] == s && b.keys[j] > k)) {
-				b.keys[j+1], b.shard[j+1] = b.keys[j], b.shard[j]
-				j--
-			}
-			b.keys[j+1], b.shard[j+1] = k, s
-		}
+	if len(b.keys) > 32 {
+		sort.Sort((*byStripe)(b))
 		return
 	}
-	n := len(b.keys)
-	for i := n/2 - 1; i >= 0; i-- {
-		b.siftDown(i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		b.swap(0, i)
-		b.siftDown(0, i)
+	for i := 1; i < len(b.keys); i++ {
+		k, s := b.keys[i], b.shard[i]
+		j := i - 1
+		for j >= 0 && (b.shard[j] > s || (b.shard[j] == s && b.keys[j] > k)) {
+			b.keys[j+1], b.shard[j+1] = b.keys[j], b.shard[j]
+			j--
+		}
+		b.keys[j+1], b.shard[j+1] = k, s
 	}
 }
 
-func (b *Batch) less(i, j int) bool {
+// byStripe is sort.Interface over a Batch's parallel keys and shard slices.
+type byStripe Batch
+
+func (b *byStripe) Len() int { return len(b.keys) }
+
+func (b *byStripe) Less(i, j int) bool {
 	return b.shard[i] < b.shard[j] || (b.shard[i] == b.shard[j] && b.keys[i] < b.keys[j])
 }
 
-func (b *Batch) swap(i, j int) {
+func (b *byStripe) Swap(i, j int) {
 	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 	b.shard[i], b.shard[j] = b.shard[j], b.shard[i]
-}
-
-func (b *Batch) siftDown(root, hi int) {
-	for {
-		child := 2*root + 1
-		if child >= hi {
-			return
-		}
-		if child+1 < hi && b.less(child, child+1) {
-			child++
-		}
-		if !b.less(root, child) {
-			return
-		}
-		b.swap(root, child)
-		root = child
-	}
 }
 
 // getBatch pops a recycled Batch or builds a fresh one.

@@ -50,12 +50,10 @@ type config struct {
 	treeStats    bool
 	seed         uint64
 	seedSet      bool
-	dispSpin     int
 	dispPool     int
 	asyncPrewarm int
 	backend      ShardBackend
 	backendSet   bool
-	shardStrat   func(shard int) WaitStrategy
 	sup          *SupervisorConfig
 }
 
@@ -108,25 +106,14 @@ func WithTableSeed(seed uint64) Option {
 	}
 }
 
-// WithDispatcherSpin sets how many backoff rounds each of a LockTable's
-// shared dispatcher workers spins for the next runnable stripe after the
-// run queue empties, before parking on the pool's idle chain. An idle
-// pool always ends at a real park — never a yield loop — whatever the
-// table's worker-side wait strategy; this knob only sizes the spin
-// window that lets a loaded pipeline catch the next burst's wake without
-// paying the park/unpark round trip. Values <= 0 select the engine's
-// small default. New and NewTree ignore the option.
-func WithDispatcherSpin(rounds int) Option {
-	return func(c *config) { c.dispSpin = rounds }
-}
-
 // WithDispatcherPool bounds the shared dispatcher runtime: at most n
 // worker goroutines serve every stripe's async deliveries, spawned
-// lazily as traffic demands and parked on one idle chain when the run
-// queue is empty (see dispatch.go). The bound is the async tier's whole
-// goroutine footprint — an idle table holds at most n dispatcher
-// goroutines however many stripes have seen traffic, and
-// TableStats.Dispatcher reports the pool's live/engaged/backlog gauges.
+// lazily as traffic demands and blocked in a receive on the shared run
+// queue when there is nothing to deliver (see dispatch.go). The bound is
+// the async tier's whole goroutine footprint — an idle table holds at
+// most n dispatcher goroutines however many stripes have seen traffic,
+// and TableStats.Dispatcher reports the pool's live/engaged/backlog
+// gauges.
 //
 // n trades footprint against delivery parallelism and, at the extreme,
 // liveness: a worker delivering a grant blocks until the stripe's
@@ -153,11 +140,11 @@ func WithDispatcherPool(n int) Option {
 // cold lock does.
 //
 // The up-front cost is Shards()×n request nodes plus the
-// WithDispatcherPool(n) workers, idle-parked (they would otherwise spawn
-// lazily as traffic demands); Close winds the pool down. The steady-state
-// behavior is unaffected: nodes are recycled and each free list grows to
-// its stripe's in-flight high-water mark either way. New and NewTree
-// ignore the option.
+// WithDispatcherPool(n) workers, idle in their run-queue receive (they
+// would otherwise spawn lazily as traffic demands); Close winds the pool
+// down. The steady-state behavior is unaffected: nodes are recycled and
+// each free list grows to its stripe's in-flight high-water mark either
+// way. New and NewTree ignore the option.
 func WithAsyncPrewarm(n int) Option {
 	return func(c *config) {
 		if n > 0 {
@@ -183,31 +170,6 @@ func WithShardBackend(b ShardBackend) Option {
 	}
 }
 
-// WithShardStrategy installs a per-shard wait-strategy hook on a
-// LockTable: fn is called once per shard at construction, and a non-nil
-// result overrides WithWaitStrategy for that shard's lock and lease pool
-// (a nil result keeps the table-wide strategy). This is how heterogeneous
-// arenas are built — e.g. the shards a load model says will be hot on
-// SpinWaitStrategy for the lowest handoff latency, the long cold tail on
-// SpinParkWaitStrategy so idle stripes cost parked goroutines rather than
-// burned quanta:
-//
-//	rme.NewLockTable(shards, ports, rme.WithShardStrategy(func(s int) rme.WaitStrategy {
-//		if hot(s) {
-//			return rme.SpinWaitStrategy()
-//		}
-//		return rme.SpinParkWaitStrategy(64)
-//	}))
-//
-// The hook shapes only how waiters pass the time; correctness (mutual
-// exclusion, crash recovery, the striping contracts) is identical across
-// strategies, so mixing them within one table is safe. The dispatcher
-// pool's idle parking is not affected (it is always spin-then-park; see
-// WithDispatcherSpin). New and NewTree ignore the option.
-func WithShardStrategy(fn func(shard int) WaitStrategy) Option {
-	return func(c *config) { c.shardStrat = fn }
-}
-
 // WithSupervisor attaches a background supervisor goroutine to a
 // LockTable: a loop that periodically sweeps orphaned ports (and
 // abandoned async grants, which park in the same orphan state) under a
@@ -220,8 +182,8 @@ func WithShardStrategy(fn func(shard int) WaitStrategy) Option {
 // joins it, heal goroutines included, before winding down the
 // dispatchers.
 //
-// The zero SupervisorConfig is valid and selects the default cadence and
-// budget. New, NewTree, and NewMCS ignore the option.
+// The zero SupervisorConfig is valid and selects the default cadence.
+// New, NewTree, and NewMCS ignore the option.
 func WithSupervisor(sc SupervisorConfig) Option {
 	return func(c *config) { c.sup = &sc }
 }

@@ -14,7 +14,7 @@ import (
 // cancelled-but-granted async request, or an abandoned Grant all leave an
 // orphaned lease that stalls its stripe until someone reclaims it; the
 // supervisor sweeps periodically under a liveness budget (at most
-// MaxHealsPerTick stripes claimed per tick, recoveries on their own
+// supHealsPerTick stripes claimed per tick, recoveries on their own
 // goroutines). It runs off the grant path, and its steady-state tick
 // performs no allocation, so a supervised table's warm passages cost what
 // an unsupervised table's do.
@@ -29,35 +29,29 @@ import (
 
 // SupervisorConfig tunes the background supervisor a LockTable starts
 // when built WithSupervisor. The zero value is valid and selects the
-// default cadence and budget.
+// default cadence.
 type SupervisorConfig struct {
 	// Interval is the tick period. Each tick is scheduled with ±25%
 	// jitter around it so many supervised tables in one process do not
 	// beat against each other. <= 0 selects the 5ms default.
 	Interval time.Duration
+}
 
-	// MaxHealsPerTick bounds how many stripes one tick claims orphans
+const (
+	defaultSupInterval = 5 * time.Millisecond // see SupervisorConfig.Interval
+	supJitterQuarter   = 4                    // jitter amplitude: interval/4 each way
+
+	// supHealsPerTick bounds how many stripes one tick claims orphans
 	// from — the sweep's liveness budget, keeping a crash storm from
 	// turning a tick into a full-table stall. Claimed recoveries run on
 	// their own goroutines, and the claim cursor rotates round-robin so
-	// every stripe is reached within shards/MaxHealsPerTick ticks.
-	// <= 0 selects the default (4).
-	MaxHealsPerTick int
-}
-
-// supervisor defaults; see the corresponding SupervisorConfig fields.
-const (
-	defaultSupInterval = 5 * time.Millisecond
-	defaultSupHeals    = 4
-	supJitterQuarter   = 4 // jitter amplitude: interval/4 each way
+	// every stripe is reached within shards/supHealsPerTick ticks.
+	supHealsPerTick = 4
 )
 
 func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	if c.Interval <= 0 {
 		c.Interval = defaultSupInterval
-	}
-	if c.MaxHealsPerTick <= 0 {
-		c.MaxHealsPerTick = defaultSupHeals
 	}
 	return c
 }
@@ -183,7 +177,7 @@ func (s *supervisor) tick() {
 	s.sweepOrphans()
 }
 
-// sweepOrphans claims orphans from at most MaxHealsPerTick stripes
+// sweepOrphans claims orphans from at most supHealsPerTick stripes
 // (round-robin from the rotating cursor) and spawns one recovery
 // goroutine per claimed port. Recoveries run concurrently and are never
 // waited for inside the tick — two orphans can be queued behind each
@@ -196,7 +190,7 @@ func (s *supervisor) sweepOrphans() {
 	t := s.t
 	n := len(t.shards)
 	healed, scanned := 0, 0
-	for i := 0; i < n && healed < s.cfg.MaxHealsPerTick; i++ {
+	for i := 0; i < n && healed < supHealsPerTick; i++ {
 		sh := &t.shards[(s.healCursor+i)%n]
 		scanned = i + 1
 		s.claimBuf = sh.pool.claimOrphans(s.claimBuf[:0])
@@ -211,7 +205,7 @@ func (s *supervisor) sweepOrphans() {
 			go s.heal(sh, l)
 		}
 	}
-	if healed >= s.cfg.MaxHealsPerTick {
+	if healed >= supHealsPerTick {
 		// The budget cut the scan short: rotate the cursor past the
 		// visited region so a persistently crashy prefix cannot starve
 		// the stripes behind it; a full scan leaves the cursor alone.
