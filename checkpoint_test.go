@@ -412,16 +412,22 @@ func forgeImage(shards, ports uint32, backend rme.ShardBackend, size int) []byte
 // TestCheckpointRestoreSupervisorEagerSweep proves the restore-triggered
 // sweep: a supervised restore of an image carrying orphans heals them
 // immediately, even with the supervisor's interval set far beyond the test
-// deadline — only the eager first tick can have done it.
+// deadline — only the eager first tick can have done it. Every stripe of
+// the table carries an in-CS orphan, so that one tick must heal them all,
+// not a bounded share.
 func TestCheckpointRestoreSupervisorEagerSweep(t *testing.T) {
-	tbl := rme.NewLockTable(4, 4, rme.WithTableSeed(13))
-	key := distinctStripeKeys(t, tbl, 1)[0]
+	tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(13))
+	keys := distinctStripeKeys(t, tbl, 8)
 	var killAll atomic.Bool
 	tbl.SetCrashFunc(func(port int, point string) bool { return killAll.Load() })
-	tbl.Lock(key)
+	for _, key := range keys {
+		tbl.Lock(key)
+	}
 	killAll.Store(true)
-	if absorbCrash(func() { tbl.Unlock(key) }) {
-		t.Fatal("Unlock survived CrashAll")
+	for _, key := range keys {
+		if absorbCrash(func() { tbl.Unlock(key) }) {
+			t.Fatal("Unlock survived CrashAll")
+		}
 	}
 	data := mustCheckpoint(t, tbl)
 	tbl.Close()
@@ -432,7 +438,9 @@ func TestCheckpointRestoreSupervisorEagerSweep(t *testing.T) {
 	}
 	defer nt.Close()
 	waitQuiesced(t, nt, 5*time.Second)
-	// The healed stripe serves immediately.
-	nt.Lock(key)
-	nt.Unlock(key)
+	// Every healed stripe serves immediately.
+	for _, key := range keys {
+		nt.Lock(key)
+		nt.Unlock(key)
+	}
 }

@@ -5,35 +5,34 @@ import "sync/atomic"
 // This file is the shared dispatcher runtime: a bounded executor that
 // multiplexes every stripe's async delivery work onto WithDispatcherPool(n)
 // worker goroutines, replacing the one-parked-goroutine-per-stripe model.
-// A stripe that has work is a *runnable* — its inbox is non-empty and no
-// worker is engaged with it — and runnables flow through one buffered Go
-// channel that every worker receives from. The engagement protocol
-// guarantees at most one worker per stripe at a time, so everything the
-// per-stripe dispatcher promised (batch swap under deliverMu, FIFO grant
-// order, Grant ownership, crash absorption) carries over verbatim; only
-// the goroutine that runs it is now drawn from a shared pool.
+// A stripe that has work is a *runnable*, and runnables flow through one
+// buffered Go channel that every worker receives from. The scheduled bit
+// below guarantees at most one engaged worker per stripe at a time, so
+// everything the per-stripe dispatcher promised (batch swap under
+// deliverMu, FIFO grant order, Grant ownership, crash absorption) carries
+// over verbatim; only the goroutine that runs it is now drawn from a
+// shared pool.
 //
-// # The stripe run-state word
+// # The scheduled bit
 //
-// Each stripe owns one atomic word (dispatcher.runState) that makes
-// "enqueue the stripe at most once" a CAS protocol rather than a
-// convention:
+// Each stripe owns one atomic bit (dispatcher.scheduled), set from the
+// moment the stripe is enqueued until the worker that received it has
+// delivered one batch. Whoever flips it false→true enqueues the stripe, so
+// "a stripe is in the run queue at most once" is a CAS protocol rather
+// than a convention: a submitter that pushed onto the inbox CASes the bit
+// and enqueues on success, and does nothing on failure. The engaged
+// worker, after its batch, clears the bit, re-loads the inbox, and if it
+// is non-empty CASes the bit back and re-enqueues the stripe itself.
 //
-//	stripeIdle        no pending work, not queued, no worker engaged
-//	stripeQueued      in the run queue (or being handed to a worker)
-//	stripeActive      a worker is delivering the stripe's batches
-//	stripeActiveDirty a worker is delivering AND new work arrived since
-//
-// A submitter that pushed onto the inbox CASes idle→queued (and enqueues
-// the stripe) or active→activeDirty (the engaged worker owes a re-check);
-// in the queued and activeDirty states someone else already owes the
-// stripe a visit, so the submitter does nothing. The engaged worker leaves
-// via CAS active→idle, which fails — and turns into a re-enqueue — exactly
-// when work arrived during delivery. The invariant "a stripe is in the run
-// queue at most once" caps the channel's occupancy at Shards(), its
-// capacity, so a send never blocks. The channel's FIFO order is what makes
-// the pool starvation-free: a hot stripe re-enqueues at the tail, behind
-// every stripe that was already waiting.
+// No push is lost. A submitter's CAS fails only if the bit was set when it
+// looked, and then either the bit was set before the worker cleared it —
+// so the push precedes the clear and the worker's inbox load, which
+// follows the clear, sees it — or someone set it after the clear, and that
+// someone enqueued the stripe again. The at-most-once invariant caps the
+// channel's occupancy at Shards(), its capacity, so a send never blocks.
+// The channel's FIFO order is what makes the pool starvation-free: a hot
+// stripe re-enqueues at the tail, behind every stripe that was already
+// waiting.
 //
 // # The pool bound and the claim rule
 //
@@ -58,21 +57,13 @@ import "sync/atomic"
 // waiting on Close's caller — see LockTable.Close), so Close remains
 // non-blocking with respect to outstanding grants.
 
-// Run-state values for dispatcher.runState; see the file comment.
-const (
-	stripeIdle int32 = iota
-	stripeQueued
-	stripeActive
-	stripeActiveDirty
-)
-
 // executor is the table's shared dispatcher runtime. Zero value is not
 // usable; init is called from newTableArena.
 type executor struct {
 	t     *LockTable
 	bound int32 // pool size: the maximum number of workers
 	// runq carries runnable stripes. Its capacity is Shards(): the
-	// run-state word admits each stripe at most once, so a send never
+	// scheduled bit admits each stripe at most once, so a send never
 	// blocks.
 	runq chan *lockShard
 	stop chan struct{} // closed by LockTable.Close
@@ -91,33 +82,19 @@ func (e *executor) init(t *LockTable, bound int) {
 	e.stop = make(chan struct{})
 }
 
-// schedule marks sh runnable after an inbox push: idle stripes are
-// enqueued, engaged stripes are flagged dirty so their worker re-checks
-// the inbox before disengaging, and queued or already-dirty stripes need
-// nothing — a visit is owed either way.
+// schedule marks sh runnable after an inbox push: the submitter that sets
+// the stripe's scheduled bit enqueues it; if the bit was already set, a
+// visit is owed anyway (see the file comment).
 func (e *executor) schedule(sh *lockShard) {
-	d := &sh.disp
-	for {
-		switch d.runState.Load() {
-		case stripeIdle:
-			if d.runState.CompareAndSwap(stripeIdle, stripeQueued) {
-				e.enqueue(sh)
-				return
-			}
-		case stripeActive:
-			if d.runState.CompareAndSwap(stripeActive, stripeActiveDirty) {
-				return
-			}
-		default: // stripeQueued, stripeActiveDirty
-			return
-		}
+	if sh.disp.scheduled.CompareAndSwap(false, true) {
+		e.enqueue(sh)
 	}
 }
 
-// enqueue sends a stripe already marked stripeQueued to the run queue,
-// committing a worker to it first: claim an idle one, else spawn one
-// while the pool is under its bound. At the bound with no idle worker the
-// stripe waits for the next worker to finish its current one.
+// enqueue sends sh, whose scheduled bit the caller just set, to the run
+// queue, committing a worker to it first: claim an idle one, else spawn
+// one while the pool is under its bound. At the bound with no idle worker
+// the stripe waits for the next worker to finish its current one.
 func (e *executor) enqueue(sh *lockShard) {
 	for {
 		if n := e.idle.Load(); n > 0 {
@@ -193,36 +170,23 @@ func (e *executor) worker() {
 }
 
 // runStripe engages sh — this worker becomes the stripe's dispatcher for
-// one batch — and then releases it: back to idle if the inbox stayed
-// empty, or marked queued, reporting true, if work arrived while engaged.
-// Delivering one batch per engagement (rather than looping until the
-// inbox stays empty) is the cross-stripe fairness choice: a stripe with a
-// continuous push stream goes back through the run queue between batches
-// instead of holding its worker forever.
+// one batch — and then releases it by clearing the scheduled bit,
+// reporting true if work arrived while engaged and this worker set the
+// bit again (so it owes the requeue). Delivering one batch per engagement
+// (rather than looping until the inbox stays empty) is the cross-stripe
+// fairness choice: a stripe with a continuous push stream goes back
+// through the run queue between batches instead of holding its worker
+// forever.
 func (e *executor) runStripe(sh *lockShard) (requeue bool) {
 	d := &sh.disp
-	// Sole-owner store: only the worker that received the stripe leaves
-	// stripeQueued, and submitters CAS only from idle or active.
-	d.runState.Store(stripeActive)
 	e.engaged.Add(1)
 	e.t.deliverBatch(sh)
 	e.batches.Add(1)
 	e.engaged.Add(-1)
-	for {
-		if d.inbox.Load() != nil || d.runState.Load() == stripeActiveDirty {
-			// Work arrived while engaged (or is mid-push: the dirty flag
-			// may lag the inbox CAS, so check both). Hand the stripe back
-			// through the queue; the overwrite of a racing dirty-CAS is
-			// benign — we are about to requeue, which is what dirty asks.
-			d.runState.Store(stripeQueued)
-			return true
-		}
-		if d.runState.CompareAndSwap(stripeActive, stripeIdle) {
-			return false
-		}
-		// CAS failed: a submitter flipped active→activeDirty between our
-		// inbox check and the CAS; loop and requeue.
-	}
+	d.scheduled.Store(false)
+	// The inbox load must follow the clear: a push whose schedule saw the
+	// bit still set is visible here (see the file comment).
+	return d.inbox.Load() != nil && d.scheduled.CompareAndSwap(false, true)
 }
 
 // finalDrain is an exiting worker's last duty: one drainClosed pass over
@@ -252,24 +216,24 @@ func (e *executor) stats() DispatcherStats {
 // snapshot, reported in TableStats.Dispatcher.
 type DispatcherStats struct {
 	// PoolSize is the configured worker bound (WithDispatcherPool).
-	PoolSize int
+	PoolSize int `json:"pool_size"`
 	// Workers is how many pool goroutines are currently live — spawned
 	// (lazily, by traffic) and not yet wound down by Close. Never exceeds
 	// PoolSize; this is the async tier's whole goroutine footprint,
 	// regardless of the stripe count.
-	Workers int
+	Workers int `json:"workers"`
 	// Engaged is how many workers are delivering a stripe's batch right
 	// now (the rest are idle or between stripes).
-	Engaged int
+	Engaged int `json:"engaged"`
 	// RunQueueDepth is how many runnable stripes are waiting in the
 	// run queue — the pool's backlog signal: persistently nonzero means
 	// the bound is below the workload's stripe-level parallelism.
-	RunQueueDepth int
+	RunQueueDepth int `json:"run_queue_depth"`
 	// Batches counts delivered inbox batches, lifetime.
-	Batches uint64
+	Batches uint64 `json:"batches"`
 	// Steals always reads 0: every worker receives from one shared run
 	// queue, so none ever takes work from another. The field stays for
 	// existing readers (the JSON encoding and the bench ladder's
 	// steals_per_acquire rung).
-	Steals uint64
+	Steals uint64 `json:"steals"`
 }

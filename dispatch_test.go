@@ -265,6 +265,35 @@ func TestDispatchCloseServesQueuedStripes(t *testing.T) {
 	}
 }
 
+// TestDispatchPushDuringEngagement pins the scheduled bit's re-check. On
+// a one-worker pool, the worker is engaged with stripe a (its callback has
+// settled the grant and then blocks) when a second request for a is
+// pushed. That submitter finds the bit set and enqueues nothing, so the
+// worker must see the push once it clears the bit and requeue the stripe
+// itself; if it did not, the request would never be delivered.
+func TestDispatchPushDuringEngagement(t *testing.T) {
+	tbl := rme.NewLockTable(2, 2, rme.WithTableSeed(1), rme.WithDispatcherPool(1))
+	defer tbl.Close()
+	const a = 1
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	tbl.LockAsyncFunc(a, func(g rme.Grant) {
+		g.Unlock()
+		close(entered)
+		<-release
+	})
+	<-entered
+	ch := tbl.LockAsync(a)
+	close(release)
+	select {
+	case g := <-ch:
+		g.Unlock()
+	case <-time.After(5 * time.Second):
+		t.Fatal("a request pushed during the stripe's engagement was never delivered")
+	}
+}
+
 // TestDispatchPoolWiderThanStripes runs a pool wider than the stripe
 // count: the surplus workers must simply park (never spin, never crash),
 // traffic still completes, and the pool never spawns beyond its bound.

@@ -251,26 +251,25 @@
 // Everything above leaves a deployment one standing chore: running a
 // reclaim loop so crashed tenancies are swept. WithSupervisor moves it
 // into the table. A supervised table runs one background goroutine that
-// ticks on a jittered interval and, each tick, sweeps orphans under a
-// liveness budget. Up to four stripes are healed per tick, a round-robin
-// cursor guaranteeing every stripe is reached within a few
-// ticks even mid-storm. Each heal claims every orphan on its stripe
-// before recovering any of them — the same two-phase discipline Reclaim
-// uses, so batched recovery cannot hold-and-wait on dead tenancies
-// queued behind one another — and abandoned async grants drain through
-// the same machinery. A supervised table therefore needs no manual
-// Reclaim calls, for crashes, cancellations, or abandoned grants alike.
+// ticks on a jittered interval, and each tick is one Reclaim: it claims
+// every orphan on every stripe before recovering any of them, recovers
+// them in parallel, and keeps claiming the orphans that appear while its
+// recoveries run, so batched recovery cannot hold-and-wait on dead
+// tenancies queued behind one another. Abandoned async grants drain
+// through the same machinery. A supervised table therefore needs no
+// manual Reclaim calls, for crashes, cancellations, or abandoned grants
+// alike.
 //
 // The supervisor changes nothing else: every stripe keeps the lock shape
 // and port count NewLockTable gave it, and choosing them is the caller's
 // job (see "Choosing a shard backend").
 //
-// Close stops the supervisor and joins every recovery it started.
+// Close stops the supervisor and joins it, with any sweep it is running.
 // SupervisorStats (in TableStats, JSON-ready like the rest of the
-// observability surface) reports sweeps and the stripes and ports
-// healed. The committed BENCH_keyed_supervised.json baseline pins the
-// feature's cost claim: with the supervisor sweeping every 200µs, a
-// table's crash-free passages stay allocation-free.
+// observability surface) reports sweeps and the ports healed. The
+// committed BENCH_keyed_supervised.json baseline pins the feature's cost
+// claim: with the supervisor sweeping every 200µs, a table's crash-free
+// passages stay allocation-free.
 //
 // # System-wide crashes and snapshots
 //

@@ -146,7 +146,7 @@ func main() {
 	// orphans every millisecond.
 	l := &ledger{tbl: rme.NewLockTable(4, 16,
 		rme.WithSupervisor(rme.SupervisorConfig{Interval: time.Millisecond}))}
-	defer l.tbl.Close() // joins the supervisor and every heal it started
+	defer l.tbl.Close() // joins the supervisor and any sweep it is running
 
 	// Kill a worker roughly every two thousand protocol steps.
 	var calls atomic.Uint64
@@ -219,8 +219,8 @@ func main() {
 
 	st := l.tbl.Stats()
 	sup := st.Supervisor
-	fmt.Printf("supervisor: %d sweeps, %d orphaned ports healed across %d stripe heals\n",
-		sup.Sweeps, sup.PortsHealed, sup.StripesHealed)
+	fmt.Printf("supervisor: %d sweeps, %d orphaned ports healed\n",
+		sup.Sweeps, sup.PortsHealed)
 	fmt.Printf("%d %s stripes:\n", len(st.Shards), l.tbl.Backend())
 	for i, sh := range st.Shards {
 		fmt.Printf("  stripe %d: acquires=%d wakes/op=%.2f\n", i, sh.Acquires, sh.WakesPerOp())

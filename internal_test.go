@@ -249,6 +249,21 @@ func TestAsyncPrewarmPerShard(t *testing.T) {
 	}
 }
 
+// TestSupervisorIdleTickAllocs pins the supervisor's cost claim at its
+// source: a tick that finds no orphan — one Reclaim over every stripe's
+// lease words — allocates nothing, so a supervised table's warm passages
+// cost what an unsupervised table's do.
+func TestSupervisorIdleTickAllocs(t *testing.T) {
+	tbl := NewLockTable(4, 48, WithTableSeed(1),
+		WithSupervisor(SupervisorConfig{Interval: time.Hour}))
+	defer tbl.Close()
+	tbl.Lock(1)
+	tbl.Unlock(1)
+	if avg := testing.AllocsPerRun(100, tbl.sup.tick); avg != 0 {
+		t.Fatalf("idle supervisor tick allocs = %v, want 0", avg)
+	}
+}
+
 // TestPaddedLayout pins the cache-line padding contract of the hot shared
 // arrays: one slot must never share a (prefetcher-paired) line with its
 // neighbor. If a field is added to one of these types, grow its pad.

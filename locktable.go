@@ -354,34 +354,34 @@ func (t *LockTable) Backend() ShardBackend { return t.backend }
 type ShardStats struct {
 	// Acquires counts completed tenancy acquisitions of the stripe —
 	// synchronous, asynchronous, and batch — the "ops" denominator.
-	Acquires uint64
+	Acquires uint64 `json:"acquires"`
 	// Publishes / Wakes / Sleeps / Parks / SpinRounds are the stripe's
 	// wait-engine event counters (see WaitStats): every blocking wait of
 	// the stripe — lock hand-offs, lease waits — reports here. Wakes is
 	// the RMR proxy on a CC machine: each wake is one remote write to
 	// another goroutine's spin word.
-	Publishes  uint64
-	Wakes      uint64
-	Sleeps     uint64
-	Parks      uint64
-	SpinRounds uint64
+	Publishes  uint64 `json:"publishes"`
+	Wakes      uint64 `json:"wakes"`
+	Sleeps     uint64 `json:"sleeps"`
+	Parks      uint64 `json:"parks"`
+	SpinRounds uint64 `json:"spin_rounds"`
 	// Aborts / Timeouts count acquisitions shed before completion on the
 	// context-aware entry points: Timeouts are sheds whose context died of
 	// context.DeadlineExceeded, Aborts every other cancellation. Together
 	// they are the stripe's shed-load signal — the thing a deadline-aware
 	// service watches to know it is over capacity. TryLock misses count in
 	// neither (a miss declines to start; nothing was abandoned).
-	Aborts   uint64
-	Timeouts uint64
+	Aborts   uint64 `json:"aborts"`
+	Timeouts uint64 `json:"timeouts"`
 	// Orphans counts ports whose lessee died and whose recovery has not
 	// finished (the per-stripe slice of LockTable.Orphans).
-	Orphans int
+	Orphans int `json:"orphans"`
 	// InboxDepth is the stripe's pending async backlog: requests
 	// submitted whose delivery has not yet acquired its tenancy (or
 	// shed). A request leaves the count only once it holds a lease, so
 	// InboxDepth and the lease-pool gauges overlap rather than leaving a
 	// window — the invariant Quiesced's reasoning rests on.
-	InboxDepth int
+	InboxDepth int `json:"inbox_depth"`
 }
 
 // WakesPerOp returns the stripe's wake count per completed acquisition —
@@ -663,21 +663,15 @@ func (sh *lockShard) abortTenancy(t *LockTable, l PortLease) {
 		}
 		return
 	}
-	go sh.reclaimAborted(l)
-}
-
-// reclaimAborted is the abort fix-up: the same recovery loop a reclaim
-// sweep runs on an orphan, applied to the aborting caller's own port.
-func (sh *lockShard) reclaimAborted(l PortLease) {
-	sh.recoverPort(l.Port)
-	sh.pool.finishReclaim(l)
+	// A sweep's heal, minus the ReclaimWith report: an abort is no death.
+	go shardClaim{sh: sh, l: l}.heal()
 }
 
 // recoverPort runs port's recovery to completion, absorbing injected
 // crashes: Lock recovers whatever the dead tenancy left (CS re-entry,
 // queue repair, exit completion), Unlock releases; a crash during Unlock
-// is in turn recovered by the next Lock. Reclaim sweeps, supervisor heals
-// and abort fix-ups all run it on a claimed (reclaiming) lease.
+// is in turn recovered by the next Lock. Reclaim sweeps (the supervisor's
+// included) and abort fix-ups all run it on a claimed (reclaiming) lease.
 func (sh *lockShard) recoverPort(port int) {
 	for {
 		if crashes(func() { sh.lk.LockDone(port, nil) }) {

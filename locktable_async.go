@@ -133,7 +133,7 @@ type asyncReq struct {
 }
 
 // dispatcher is one stripe's async service state: the request inbox plus
-// the runnable flag word the shared executor schedules the stripe by.
+// the scheduled bit the shared executor admits the stripe by.
 // The stripe owns no goroutine — delivery is done by whichever pool
 // worker engages the stripe (see dispatch.go).
 type dispatcher struct {
@@ -151,10 +151,10 @@ type dispatcher struct {
 	// per stripe) outside those races, so the hot path pays one
 	// uncontended lock per batch.
 	deliverMu sync.Mutex
-	// runState is the stripe's scheduling word — idle / queued / active /
-	// active-dirty — the executor's at-most-once run-queue admission
+	// scheduled is set while the stripe is in the run queue or engaged
+	// with a worker — the executor's at-most-once run-queue admission
 	// protocol; see dispatch.go.
-	runState atomic.Int32
+	scheduled atomic.Bool
 	// depth tracks the stripe's pending async requests: submissions whose
 	// delivery has not yet acquired a lease (or shed). Decremented only
 	// once the tenancy is held — not at batch-swap time — so a request
@@ -362,7 +362,7 @@ func (t *LockTable) Close() {
 		return
 	}
 	// Join the supervisor first: Close returning means no supervisor work
-	// is still in flight (heal goroutines included).
+	// is still in flight (a sweep it is running included).
 	if t.sup != nil {
 		t.sup.join()
 	}

@@ -171,16 +171,15 @@ func WithShardBackend(b ShardBackend) Option {
 }
 
 // WithSupervisor attaches a background supervisor goroutine to a
-// LockTable: a loop that periodically sweeps orphaned ports (and
-// abandoned async grants, which park in the same orphan state) under a
-// liveness budget. A supervised table needs no caller-driven Reclaim
-// pattern: crash, cancel-after-grant, and abandoned-grant debris all heal
-// in the background. The supervisor never changes a stripe's lock shape
-// or port count; both stay as NewLockTable built them. A table restored
-// from a checkpoint that carried orphans sweeps once immediately instead
-// of waiting out its first interval. Close() stops the supervisor and
-// joins it, heal goroutines included, before winding down the
-// dispatchers.
+// LockTable: a loop whose every tick is one Reclaim sweep of orphaned
+// ports (and abandoned async grants, which park in the same orphan
+// state). A supervised table needs no caller-driven Reclaim pattern:
+// crash, cancel-after-grant, and abandoned-grant debris all heal in the
+// background. The supervisor never changes a stripe's lock shape or port
+// count; both stay as NewLockTable built them. A table restored from a
+// checkpoint that carried orphans sweeps once immediately instead of
+// waiting out its first interval. Close() stops the supervisor and joins
+// it, with any sweep it is running, before winding down the dispatchers.
 //
 // The zero SupervisorConfig is valid and selects the default cadence.
 // New, NewTree, and NewMCS ignore the option.
