@@ -152,9 +152,9 @@ func corrupt(format string, args ...any) error {
 // Run the orphan sweep before serving: either call Reclaim (manually or
 // concurrently with the first arrivals — new acquisitions queue behind the
 // adopted holders and are granted as recovery releases them), or pass
-// WithSupervisor, which a restored table starts with an immediate eager
-// sweep instead of waiting out its first interval. Until some sweep runs,
-// every stripe that carried an orphan is stalled — that is the system-wide
+// WithSupervisor, with which RestoreTable itself claims every restored
+// orphan and starts its heal before returning. Until recovery runs, every
+// stripe that carried an orphan is stalled — that is the system-wide
 // model's defining property: no surviving process exists to fix anything
 // up, so recovery is the restored incarnation's first job.
 //
@@ -216,7 +216,6 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 	}
 
 	stripes := make([]ckptStripe, shards)
-	orphans := 0
 	for i := range stripes {
 		st := &stripes[i]
 		st.words = make([]uint64, ports)
@@ -229,9 +228,6 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 			off++
 			if flags&^ckptFlagInCS != 0 {
 				return nil, corrupt("stripe %d port %d: unknown flags %#x", i, p, flags)
-			}
-			if st.words[p]&leaseStateMask != leaseFree {
-				orphans++
 			}
 			if flags&ckptFlagInCS != 0 {
 				if st.words[p]&leaseStateMask == leaseFree {
@@ -278,7 +274,7 @@ func RestoreTable(data []byte, opts ...Option) (*LockTable, error) {
 			sh.pool.words[p].Store(epoch<<leaseEpochShift | state)
 		}
 	}
-	t.finishInit(cfg, orphans > 0)
+	t.finishInit(cfg)
 	return t, nil
 }
 

@@ -409,12 +409,12 @@ func forgeImage(shards, ports uint32, backend rme.ShardBackend, size int) []byte
 	return le.AppendUint32(img, crc32.ChecksumIEEE(img))
 }
 
-// TestCheckpointRestoreSupervisorEagerSweep proves the restore-triggered
-// sweep: a supervised restore of an image carrying orphans heals them
-// immediately, even with the supervisor's interval set far beyond the test
-// deadline — only the eager first tick can have done it. Every stripe of
-// the table carries an in-CS orphan, so that one tick must heal them all,
-// not a bounded share.
+// TestCheckpointRestoreSupervisorEagerSweep proves the restore-time heal:
+// a supervised restore of an image carrying orphans heals them with no
+// Reclaim call anywhere — no orphaning party survived to claim them, so
+// only RestoreTable's own claim pass can have started their heals. Every
+// stripe of the table carries an in-CS orphan, so that pass must claim
+// them all, not a bounded share.
 func TestCheckpointRestoreSupervisorEagerSweep(t *testing.T) {
 	tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(13))
 	keys := distinctStripeKeys(t, tbl, 8)
@@ -432,7 +432,7 @@ func TestCheckpointRestoreSupervisorEagerSweep(t *testing.T) {
 	data := mustCheckpoint(t, tbl)
 	tbl.Close()
 
-	nt, err := rme.RestoreTable(data, rme.WithSupervisor(rme.SupervisorConfig{Interval: time.Hour}))
+	nt, err := rme.RestoreTable(data, rme.WithSupervisor())
 	if err != nil {
 		t.Fatalf("RestoreTable: %v", err)
 	}

@@ -8,8 +8,8 @@ import "sync/atomic"
 // A stripe that has work is a *runnable*, and runnables flow through one
 // buffered Go channel that every worker receives from. The scheduled bit
 // below guarantees at most one engaged worker per stripe at a time, so
-// everything the per-stripe dispatcher promised (batch swap under
-// deliverMu, FIFO grant order, Grant ownership, crash absorption) carries
+// everything the per-stripe dispatcher promised (one deliverer per
+// stripe, FIFO grant order, Grant ownership, crash absorption) carries
 // over verbatim; only the goroutine that runs it is now drawn from a
 // shared pool.
 //
@@ -50,12 +50,14 @@ import "sync/atomic"
 //
 // # Close
 //
-// Close stops intake and closes the stop channel; each worker then exits
-// once it finds the run queue empty, after one final drainClosed pass
-// over every stripe. Workers never join in-flight deliveries (a
+// Close stops intake, waits until every submission that saw the table
+// open has scheduled its stripe, and closes the stop channel (see
+// LockTable.Close). Every accepted request then sits on an inbox whose
+// stripe is queued or engaged, and each worker exits once it finds the
+// run queue empty — after a worker's requeue, that worker is itself alive
+// to receive the stripe again. Close never joins in-flight deliveries (a
 // delivery blocks until the stripe's holder settles, and the holder may be
-// waiting on Close's caller — see LockTable.Close), so Close remains
-// non-blocking with respect to outstanding grants.
+// waiting on Close's caller), so it does not block on outstanding grants.
 
 // executor is the table's shared dispatcher runtime. Zero value is not
 // usable; init is called from newTableArena.
@@ -149,13 +151,6 @@ func (e *executor) worker() {
 			select {
 			case sh = <-e.runq:
 			default:
-				// Final drain before exiting: a submission that passed its
-				// closed check concurrently with Close may have pushed
-				// after this worker's last look at its stripe. Pushes that
-				// land after this pass are covered the other way — their
-				// submitters' post-push re-check observes closed and
-				// spawns a transient drainer (see submit).
-				e.finalDrain()
 				return
 			}
 		}
@@ -187,18 +182,6 @@ func (e *executor) runStripe(sh *lockShard) (requeue bool) {
 	// The inbox load must follow the clear: a push whose schedule saw the
 	// bit still set is visible here (see the file comment).
 	return d.inbox.Load() != nil && d.scheduled.CompareAndSwap(false, true)
-}
-
-// finalDrain is an exiting worker's last duty: one drainClosed pass over
-// every stripe, so requests that were pushed concurrently with Close are
-// delivered even if their stripe never made it back through the queue.
-// Concurrent finalDrains (and transient submit-side drainers) are safe:
-// the inbox Swap hands each request to exactly one of them.
-func (e *executor) finalDrain() {
-	t := e.t
-	for i := range t.shards {
-		t.drainClosed(&t.shards[i])
-	}
 }
 
 // stats snapshots the executor's observability block.

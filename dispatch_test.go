@@ -231,9 +231,9 @@ func TestDispatchSpawnsPastClaimedWorker(t *testing.T) {
 // TestDispatchCloseServesQueuedStripes pins Close's exit rule: a worker
 // leaves only once the run queue is empty. With a pool of 2, one worker
 // blocks delivering x on lo, which the test holds, while hi still sits in
-// the queue when Close runs. Had the other worker taken the stop signal
-// with hi queued, its final drain would walk the stripes in index order
-// and block on lo behind the first worker, and y would never arrive. The
+// the queue when Close runs. Had the other worker exited on the stop
+// signal with hi queued, nothing would serve hi while the first worker
+// blocks on lo, and y would never arrive. The
 // choice between the stop signal and a queued stripe is random, so the
 // scenario repeats on fresh tables; GOMAXPROCS(1) keeps both stripes
 // queued until Close has run.
@@ -327,11 +327,13 @@ func TestDispatchPoolWiderThanStripes(t *testing.T) {
 
 // TestDispatchSubmitCloseRace is the stranding-race storm ported to the
 // pooled executor: submissions race Close() while a deliberately tiny
-// pool is kept busy, so the rescue path (a submitter whose post-push
-// re-check observes closed spawns a transient drainer) runs with every
-// worker engaged elsewhere — the configuration where a lost request
-// would otherwise park forever. Every submission must either panic (the
-// submitter observed the closed table and holds nothing) or be granted.
+// pool is kept busy, so Close's intake handshake (it waits for every
+// submission that saw the table open to schedule its stripe before it
+// releases the pool) runs with every worker engaged elsewhere — the
+// configuration where a lost request would otherwise park forever. Every
+// submission must either panic (the submitter observed the closed table
+// and holds nothing) or be granted. A Close that skips the wait fails
+// here.
 func TestDispatchSubmitCloseRace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const rounds = 100

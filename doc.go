@@ -96,10 +96,11 @@
 // An orphaned tenancy still owns its protocol state — it can hold its
 // stripe's critical section or stall the queue behind it — so it must be
 // swept promptly, exactly as RME's progress guarantees assume crashed
-// processes restart. A table built with WithSupervisor sweeps itself (see
-// "Supervised tables" below, and examples/locktable for the pattern
-// under a crash storm); a table without one must call Reclaim from its
-// own supervision loop after observing a death. Callers with a latency
+// processes restart. A table built with WithSupervisor heals each orphan
+// from the moment it exists (see "Supervised tables" below, and
+// examples/locktable for the pattern under a crash storm); a table
+// without it must call Reclaim from its own supervision loop after
+// observing a death. Callers with a latency
 // budget rather than a liveness obligation should use the abortable tier
 // — TryLock and LockContext — described under "Deadlines, TryLock, and
 // aborts" below.
@@ -230,8 +231,9 @@
 //     already won is still honored: LockContext returns nil (the caller
 //     owns the key and must Unlock), and a LockAsyncContext grant that
 //     loses the delivery race to cancellation is auto-abandoned into the
-//     ordinary orphan/reclaim machinery, where the table's supervisor
-//     (or a manual Reclaim) frees it like any other dead tenancy.
+//     ordinary orphan/reclaim machinery, where a manual Reclaim (or, on a
+//     supervised table, the heal the auto-abandon starts) frees it like
+//     any other dead tenancy.
 //
 // A TryLock miss allocates nothing; a hit is an ordinary passage and
 // allocates exactly as Lock does: nothing once the node pools are warm.
@@ -249,34 +251,37 @@
 // # Supervised tables
 //
 // Everything above leaves a deployment one standing chore: running a
-// reclaim loop so crashed tenancies are swept. WithSupervisor moves it
-// into the table. A supervised table runs one background goroutine that
-// ticks on a jittered interval, and each tick is one Reclaim: it claims
-// every orphan on every stripe before recovering any of them, recovers
-// them in parallel, and keeps claiming the orphans that appear while its
-// recoveries run, so batched recovery cannot hold-and-wait on dead
-// tenancies queued behind one another. Abandoned async grants drain
-// through the same machinery. A supervised table therefore needs no
-// manual Reclaim calls, for crashes, cancellations, or abandoned grants
-// alike.
+// reclaim loop so crashed tenancies are swept. WithSupervisor removes it.
+// On a supervised table every orphan's recovery starts at its birth:
+// whoever orphans a port — a worker dying in Lock, Unlock or a batch, a
+// crashing grant callback, Grant.Abandon, or a cancelled-but-granted
+// async request — claims it with the same CAS a sweep's claim phase runs
+// and starts the same heal on a goroutine of its own, exactly as a
+// crashed process in the paper's model recovers by re-running its passage
+// as soon as it restarts. A concurrent Reclaim that claims first keeps
+// the orphan, so each orphan has exactly one healer from the moment it
+// exists, and no heal can wait on an orphan nobody heals. A supervised
+// table therefore needs no manual Reclaim calls, for crashes,
+// cancellations, or abandoned grants alike, and it runs no background
+// loop: nothing polls while nothing is orphaned.
 //
-// The supervisor changes nothing else: every stripe keeps the lock shape
+// Supervision changes nothing else: every stripe keeps the lock shape
 // and port count NewLockTable gave it, and choosing them is the caller's
 // job (see "Choosing a shard backend").
 //
-// Close stops the supervisor and joins it, with any sweep it is running.
-// SupervisorStats (in TableStats, JSON-ready like the rest of the
-// observability surface) reports sweeps and the ports healed. The
-// committed BENCH_keyed_supervised.json baseline pins the feature's cost
-// claim: with the supervisor sweeping every 200µs, a table's crash-free
+// Close waits for no heal: a heal queued behind a key Close's caller
+// holds finishes once the caller unlocks. SupervisorStats (in
+// TableStats, JSON-ready like the rest of the observability surface)
+// counts the heals started. The committed BENCH_keyed_supervised.json
+// baseline pins the feature's cost claim: a supervised table's crash-free
 // passages stay allocation-free.
 //
 // # System-wide crashes and snapshots
 //
 // Everything above assumes the paper's independent-failure model: one
 // participant dies, its port is orphaned, and some surviving party — a
-// supervisor goroutine, a replacement worker, the abort path — runs
-// recovery in the same process. A system-wide crash (the model of the
+// supervised heal, a replacement worker, the abort path — runs recovery
+// in the same process. A system-wide crash (the model of the
 // 2023 successor work on recoverable mutexes under full-system failures)
 // breaks that assumption: the whole process dies at once, every lessee
 // with it, and nothing survives to call Reclaim. What persists is only
@@ -309,9 +314,8 @@
 // acquisitions on those stripes queue until the orphan sweep releases
 // them. Run Reclaim (or ReclaimWith, to learn which keys were stranded
 // and redo/undo application state) before serving traffic, or restore
-// with WithSupervisor — a restored supervised table whose image carried
-// orphans sweeps eagerly on its first tick instead of sleeping a full
-// interval. The committed BENCH_syscrash.json baselines price this
+// with WithSupervisor — RestoreTable then claims every orphan the image
+// carried and starts its heal before it returns. The committed BENCH_syscrash.json baselines price this
 // path: time-to-first-grant after a full-table crash at 1e5 and 1e6
 // keys, with the full-heal time alongside. The crash models and the
 // recovery lifecycle are diagrammed in ARCHITECTURE.md; the

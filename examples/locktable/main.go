@@ -7,11 +7,11 @@
 //
 // Injected crashes kill workers at arbitrary protocol steps, including
 // inside the critical section and half-way through a release. A dying
-// worker's lease is orphaned in its last breath (the library's
-// OrphanOnCrash guard runs as the Crash panic unwinds) — and then nobody
-// in this program cleans it up, because the table was built with
-// WithSupervisor: its background supervisor claims the orphan on the
-// next tick, re-enters the critical section if the dead worker held it,
+// worker's lease is orphaned in its last breath (the table's crash guard
+// runs as the Crash panic unwinds) — and then nobody in this program
+// cleans it up, because the table was built with WithSupervisor: the
+// dying worker's guard claims the orphan and starts its heal on the spot,
+// which re-enters the critical section if the dead worker held it,
 // repairs the queue if it died waiting, and hands the port back. The
 // crashed worker just retries. Earlier revisions of this example ran a
 // hand-rolled reclaim sweep in every worker's recovery path; the
@@ -24,13 +24,13 @@
 // Alongside the storm, an auditor reports running totals on a latency
 // budget: each account is read under LockContext with 1ms to spare, and
 // a stripe that cannot be won in time — busy, or stalled behind a dead
-// tenancy the supervisor has not reached yet — sheds with
+// tenancy whose heal has not finished yet — sheds with
 // context.DeadlineExceeded and the auditor degrades to the account's
 // last published balance instead of queueing behind recovery.
 //
 // The invariant checked at the end: every increment applied exactly
 // once and no port left orphaned, despite the crash storm — with
-// SupervisorStats showing who did the housekeeping.
+// SupervisorStats showing one heal per injected death.
 //
 //	go run ./examples/locktable
 package main
@@ -81,9 +81,8 @@ var accountKey = func() (k [accounts]uint64) {
 // withRecovery runs fn, converting an injected crash into a false return
 // (any other panic propagates). Note what is missing compared to a
 // hand-rolled supervisor: no Reclaim call. The orphan the death left
-// behind is the table's own problem now — its supervisor claims and
-// recovers it within a tick — so recovery here is just "count it and
-// retry".
+// behind is the table's own problem now — its heal started as the death
+// unwound — so recovery here is just "count it and retry".
 func withRecovery(fn func()) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -100,8 +99,8 @@ func withRecovery(fn func()) (ok bool) {
 
 // deposit adds amount to account idx, surviving any number of injected
 // deaths: a crashed Lock is simply retried (the retry parks until the
-// supervisor has healed the dead tenancy in its way, if any), and a
-// crashed Unlock is finished by the supervisor itself, so the deposit —
+// dead tenancy in its way, if any, has healed), and a crashed Unlock is
+// finished by its orphan's heal, so the deposit —
 // applied before the release began — counts exactly once either way. The
 // scheduler yield inside the critical section models real CS work
 // crossing a scheduler boundary; it is also what makes the hot account
@@ -142,11 +141,9 @@ func (l *ledger) auditTotal() (total int, degraded int) {
 
 func main() {
 	// A 4-stripe × 16-port arena (enough ports for every worker plus the
-	// auditor to queue on the hot stripe) with a supervisor sweeping
-	// orphans every millisecond.
-	l := &ledger{tbl: rme.NewLockTable(4, 16,
-		rme.WithSupervisor(rme.SupervisorConfig{Interval: time.Millisecond}))}
-	defer l.tbl.Close() // joins the supervisor and any sweep it is running
+	// auditor to queue on the hot stripe) whose orphans heal themselves.
+	l := &ledger{tbl: rme.NewLockTable(4, 16, rme.WithSupervisor())}
+	defer l.tbl.Close()
 
 	// Kill a worker roughly every two thousand protocol steps.
 	var calls atomic.Uint64
@@ -199,9 +196,9 @@ func main() {
 	auditor.Wait()
 	l.tbl.SetCrashFunc(nil)
 
-	// No final sweep: the supervisor drains the storm's leftovers on its
-	// own, and the table reports quiescent — no orphans, no queued async
-	// work — within a few ticks of the last death.
+	// No final sweep: the last deaths' heals drain the storm's leftovers
+	// on their own, and the table reports quiescent — no orphans, no
+	// queued async work — as soon as they finish.
 	for deadline := time.Now().Add(5 * time.Second); !l.tbl.Quiesced(); {
 		if time.Now().After(deadline) {
 			panic("table not quiesced after the storm")
@@ -219,8 +216,7 @@ func main() {
 
 	st := l.tbl.Stats()
 	sup := st.Supervisor
-	fmt.Printf("supervisor: %d sweeps, %d orphaned ports healed\n",
-		sup.Sweeps, sup.PortsHealed)
+	fmt.Printf("supervisor: %d orphaned ports healed, one per death\n", sup.PortsHealed)
 	fmt.Printf("%d %s stripes:\n", len(st.Shards), l.tbl.Backend())
 	for i, sh := range st.Shards {
 		fmt.Printf("  stripe %d: acquires=%d wakes/op=%.2f\n", i, sh.Acquires, sh.WakesPerOp())
@@ -234,8 +230,8 @@ func main() {
 	if want := workers * deposits; total != want {
 		panic(fmt.Sprintf("LOST OR DOUBLED DEPOSITS: total %d, want %d", total, want))
 	}
-	if crashes.Load() > 0 && sup.PortsHealed == 0 {
-		panic("workers crashed but the supervisor healed nothing — who cleaned up?")
+	if sup.PortsHealed != uint64(crashes.Load()) {
+		panic(fmt.Sprintf("%d deaths but %d heals: every death orphans one port, and nothing else claims it", crashes.Load(), sup.PortsHealed))
 	}
 
 	// One deliberate shed: hold an account and audit again. The held

@@ -35,10 +35,9 @@
 // gate.
 //
 // The supervised table has its own cell, keyed_supervised
-// (BENCH_keyed_supervised.json): a skewed workload on a table whose
-// WithSupervisor orphan sweep ticks every 200µs throughout the measured
-// pass. Crash-free and inside the zero-allocation gate, so a supervisor
-// whose steady-state tick allocates fails CI.
+// (BENCH_keyed_supervised.json): a skewed workload on a table built
+// WithSupervisor. Crash-free and inside the zero-allocation gate, so a
+// supervised table whose crash-free passages allocate fails CI.
 //
 // The system-wide crash tier (BENCH_syscrash.json) prices the whole-table
 // failure model: keyed_syscrash and keyed_syscrash_1m each measure full
@@ -119,9 +118,8 @@ type Scenario struct {
 	// based); the workers recover with the reclaim-and-retry supervisor
 	// pattern. Keyed scenarios only.
 	CrashEvery uint64
-	// Supervised attaches a WithSupervisor orphan-sweep loop ticking every
-	// 200µs, so a benchmark-sized run spans hundreds of ticks and the
-	// measured pass prices passages with the supervisor live. Keyed
+	// Supervised builds the table WithSupervisor, so the measured pass
+	// prices passages on a table whose orphans heal themselves. Keyed
 	// scenarios only.
 	Supervised bool
 	// AbortEvery, when non-zero, drives the table through LockContext and
@@ -363,10 +361,10 @@ func Scenarios() []Scenario {
 		},
 		{
 			// The supervised table cell (BENCH_keyed_supervised.json): a
-			// skewed zipf workload on a 4-stripe × 48-port flat arena with
-			// the reclaim-only supervisor ticking every 200µs in the
-			// background. Crash-free and inside the zero-allocation gate: a
-			// supervisor tick that starts allocating fails the gate.
+			// skewed zipf workload on a 4-stripe × 48-port flat arena built
+			// WithSupervisor. Crash-free and inside the zero-allocation
+			// gate: a supervised table whose crash-free passages start
+			// allocating fails the gate.
 			Name: "keyed_supervised", File: "keyed_supervised", Keyed: true, Zipf: true, Supervised: true,
 			Ports:  func() int { return 16 },
 			Iters:  40_000,
@@ -375,8 +373,8 @@ func Scenarios() []Scenario {
 			Backend: rme.FlatBackend,
 			// Yield cells only: spin-then-park's parked handoffs run this
 			// 16-worker workload an order of magnitude slower, and the
-			// claim this file pins — a ticking supervisor adds no
-			// allocation — does not depend on the wait strategy.
+			// claim this file pins — supervision adds no allocation — does
+			// not depend on the wait strategy.
 			SkipStrategies: []string{"spinpark"},
 		},
 		{
@@ -550,8 +548,8 @@ type Sample struct {
 	CheckpointBytes    int     `json:"checkpoint_bytes,omitempty"`
 	AllocExempt        bool    `json:"alloc_exempt,omitempty"`
 
-	// Supervised marks a cell measured with the table's supervisor
-	// ticking (Scenario.Supervised).
+	// Supervised marks a cell measured on a table built WithSupervisor
+	// (Scenario.Supervised).
 	Supervised bool `json:"supervised,omitempty"`
 
 	// TableStats is the keyed table's full post-run observability
@@ -584,18 +582,20 @@ type locker interface {
 // lock held across a yield, every runnable rival enqueues behind it and
 // the cell measures what it claims to: the strategy's handoff machinery.
 func runPassages(m locker, ports, total int) {
-	forEachWorker(ports, total, func(port, n int) {
-		for i := 0; i < n; i++ {
-			m.Lock(port)
-			if ports > 1 {
-				runtime.Gosched() // critical-section work
-			}
-			m.Unlock(port)
-			if ports > 1 {
-				runtime.Gosched() // non-critical-section work
+	gatedWorkers(ports, total, func(port, n int) func() {
+		return func() {
+			for i := 0; i < n; i++ {
+				m.Lock(port)
+				if ports > 1 {
+					runtime.Gosched() // critical-section work
+				}
+				m.Unlock(port)
+				if ports > 1 {
+					runtime.Gosched() // non-critical-section work
+				}
 			}
 		}
-	})
+	})()
 }
 
 // RunKeyedPassages drives total keyed Lock/Unlock passages split across
@@ -606,18 +606,26 @@ func runPassages(m locker, ports, total int) {
 // BenchmarkE16KeyedTable measures the exact workload the BENCH_keyed.json
 // gate records.
 func RunKeyedPassages(tbl *rme.LockTable, workers, total int, zipfian bool, keys uint64, crashing bool) {
-	forEachWorker(workers, total, func(w, n int) {
+	keyedPassages(tbl, workers, total, zipfian, keys, crashing)()
+}
+
+// keyedPassages builds RunKeyedPassages' workers and returns the function
+// that runs them.
+func keyedPassages(tbl *rme.LockTable, workers, total int, zipfian bool, keys uint64, crashing bool) func() {
+	return gatedWorkers(workers, total, func(w, n int) func() {
 		nextKey := keyStream(w, zipfian, keys)
-		for i := 0; i < n; i++ {
-			k := nextKey()
-			if crashing {
-				tbl.Do(k, runtime.Gosched) // critical-section work inside
-			} else {
-				tbl.Lock(k)
-				runtime.Gosched() // critical-section work
-				tbl.Unlock(k)
+		return func() {
+			for i := 0; i < n; i++ {
+				k := nextKey()
+				if crashing {
+					tbl.Do(k, runtime.Gosched) // critical-section work inside
+				} else {
+					tbl.Lock(k)
+					runtime.Gosched() // critical-section work
+					tbl.Unlock(k)
+				}
+				runtime.Gosched() // non-critical-section work
 			}
-			runtime.Gosched() // non-critical-section work
 		}
 	})
 }
@@ -633,36 +641,48 @@ func keyStream(w int, zipfian bool, keys uint64) func() uint64 {
 	return func() uint64 { return r.Uint64() % keys }
 }
 
-// RunAbortKeyedPassages drives total passages through the deadline-aware
-// entry point: every abortEvery-th passage presents a pre-expired deadline
-// and is shed at the door (the deterministic zero-allocation abort path),
-// every other passage acquires under a live cancellable context — the full
-// cancel plumbing (cancellable lease wait, cancellable queue wait) on the
-// grant path — and releases normally. Key streams match RunKeyedPassages,
-// so the cells read directly against the blocking ones.
-func RunAbortKeyedPassages(tbl *rme.LockTable, workers, total int, zipfian bool, keys, abortEvery uint64) {
+// abortKeyedPassages builds workers that drive total passages through the
+// deadline-aware entry point, and returns the function that runs them and
+// then cancels their contexts. Every abortEvery-th passage presents a
+// pre-expired deadline and is shed at the door (the deterministic
+// zero-allocation abort path), every other passage acquires under a live
+// cancellable context — the full cancel plumbing (cancellable lease wait,
+// cancellable queue wait) on the grant path — and releases normally. Key
+// streams match RunKeyedPassages, so the cells read directly against the
+// blocking ones.
+func abortKeyedPassages(tbl *rme.LockTable, workers, total int, zipfian bool, keys, abortEvery uint64) func() {
 	expired, cancelExpired := context.WithDeadline(context.Background(), time.Unix(0, 0))
-	defer cancelExpired()
-	forEachWorker(workers, total, func(w, n int) {
+	cancels := make([]context.CancelFunc, 0, workers+1)
+	cancels = append(cancels, cancelExpired)
+	run := gatedWorkers(workers, total, func(w, n int) func() {
 		live, cancelLive := context.WithCancel(context.Background())
-		defer cancelLive()
+		live.Done() // build the done channel now, not on the first passage
+		cancels = append(cancels, cancelLive)
 		nextKey := keyStream(w, zipfian, keys)
-		for i := 0; i < n; i++ {
-			k := nextKey()
-			if abortEvery > 0 && uint64(i)%abortEvery == abortEvery-1 {
-				if tbl.LockContext(expired, k) == nil {
-					panic("rtbench: pre-expired context was granted")
+		return func() {
+			for i := 0; i < n; i++ {
+				k := nextKey()
+				if abortEvery > 0 && uint64(i)%abortEvery == abortEvery-1 {
+					if tbl.LockContext(expired, k) == nil {
+						panic("rtbench: pre-expired context was granted")
+					}
+					continue
 				}
-				continue
+				if err := tbl.LockContext(live, k); err != nil {
+					panic(fmt.Sprintf("rtbench: live context shed: %v", err))
+				}
+				runtime.Gosched() // critical-section work
+				tbl.Unlock(k)
+				runtime.Gosched() // non-critical-section work
 			}
-			if err := tbl.LockContext(live, k); err != nil {
-				panic(fmt.Sprintf("rtbench: live context shed: %v", err))
-			}
-			runtime.Gosched() // critical-section work
-			tbl.Unlock(k)
-			runtime.Gosched() // non-critical-section work
 		}
 	})
+	return func() {
+		run()
+		for _, cancel := range cancels {
+			cancel()
+		}
+	}
 }
 
 // RunAsyncKeyedPassages drives total completion-based passages split
@@ -671,13 +691,21 @@ func RunAbortKeyedPassages(tbl *rme.LockTable, workers, total int, zipfian bool,
 // through the grant. Key streams match RunKeyedPassages, so the async
 // cells read directly against the blocking ones.
 func RunAsyncKeyedPassages(tbl *rme.LockTable, workers, total int, zipfian bool, keys uint64) {
-	forEachWorker(workers, total, func(w, n int) {
+	asyncKeyedPassages(tbl, workers, total, zipfian, keys)()
+}
+
+// asyncKeyedPassages builds RunAsyncKeyedPassages' workers and returns the
+// function that runs them.
+func asyncKeyedPassages(tbl *rme.LockTable, workers, total int, zipfian bool, keys uint64) func() {
+	return gatedWorkers(workers, total, func(w, n int) func() {
 		nextKey := keyStream(w, zipfian, keys)
-		for i := 0; i < n; i++ {
-			g := <-tbl.LockAsync(nextKey())
-			runtime.Gosched() // critical-section work
-			g.Unlock()
-			runtime.Gosched() // non-critical-section work
+		return func() {
+			for i := 0; i < n; i++ {
+				g := <-tbl.LockAsync(nextKey())
+				runtime.Gosched() // critical-section work
+				g.Unlock()
+				runtime.Gosched() // non-critical-section work
+			}
 		}
 	})
 }
@@ -703,27 +731,35 @@ func hotStripeKeys(tbl *rme.LockTable, span int) []uint64 {
 // work) and one scheduler yield per group, so per-key ns/op between the
 // two shapes reads directly as the batch amortization factor.
 func RunHotKeyedPassages(tbl *rme.LockTable, workers, total, group int, batch bool, span uint64) {
+	hotKeyedPassages(tbl, workers, total, group, batch, span)()
+}
+
+// hotKeyedPassages builds RunHotKeyedPassages' workers and buffers and
+// returns the function that runs them.
+func hotKeyedPassages(tbl *rme.LockTable, workers, total, group int, batch bool, span uint64) func() {
 	keys := hotStripeKeys(tbl, int(span))
-	forEachWorker(workers, total, func(w, n int) {
+	return gatedWorkers(workers, total, func(w, n int) func() {
 		r := xrand.New(uint64(w)*0x9e3779b97f4a7c15 + 1)
 		buf := make([]uint64, group)
-		for i := 0; i < n; i += group {
-			m := group
-			if rem := n - i; rem < m {
-				m = rem
-			}
-			for j := 0; j < m; j++ {
-				buf[j] = keys[r.Uint64()%span]
-			}
-			if batch {
-				tbl.DoBatch(buf[:m], nopPerKey)
-			} else {
-				for _, k := range buf[:m] {
-					tbl.Lock(k)
-					tbl.Unlock(k)
+		return func() {
+			for i := 0; i < n; i += group {
+				m := group
+				if rem := n - i; rem < m {
+					m = rem
 				}
+				for j := 0; j < m; j++ {
+					buf[j] = keys[r.Uint64()%span]
+				}
+				if batch {
+					tbl.DoBatch(buf[:m], nopPerKey)
+				} else {
+					for _, k := range buf[:m] {
+						tbl.Lock(k)
+						tbl.Unlock(k)
+					}
+				}
+				runtime.Gosched() // inter-group work
 			}
-			runtime.Gosched() // inter-group work
 		}
 	})
 }
@@ -731,9 +767,11 @@ func RunHotKeyedPassages(tbl *rme.LockTable, workers, total, group int, batch bo
 // nopPerKey is the batch runner's empty per-key critical section.
 func nopPerKey(uint64) {}
 
-// runKeyed dispatches a keyed workload to the runner its scenario shape
-// selects; warm-up and measured passes go through the same path.
-func runKeyed(tbl *rme.LockTable, sc Scenario, total int, crashing bool) {
+// prepareKeyed builds the workers of the keyed workload its scenario
+// shape selects and returns the function that runs them; warm-up and
+// measured passes go through the same path, and Run reads its
+// measurement baseline between the two calls.
+func prepareKeyed(tbl *rme.LockTable, sc Scenario, total int, crashing bool) func() {
 	switch {
 	case sc.AbortEvery > 0:
 		if crashing {
@@ -741,7 +779,7 @@ func runKeyed(tbl *rme.LockTable, sc Scenario, total int, crashing bool) {
 			// refuse the combination like the async and hot runners do.
 			panic(fmt.Sprintf("rtbench: scenario %s combines AbortEvery with CrashEvery", sc.Name))
 		}
-		RunAbortKeyedPassages(tbl, sc.Ports(), total, sc.Zipf, sc.Keys, sc.AbortEvery)
+		return abortKeyedPassages(tbl, sc.Ports(), total, sc.Zipf, sc.Keys, sc.AbortEvery)
 	case sc.Async:
 		if crashing {
 			// The async/hot runners carry no crash-absorbing supervisor;
@@ -750,7 +788,7 @@ func runKeyed(tbl *rme.LockTable, sc Scenario, total int, crashing bool) {
 			// confusingly at the first injection.
 			panic(fmt.Sprintf("rtbench: scenario %s combines Async with CrashEvery", sc.Name))
 		}
-		RunAsyncKeyedPassages(tbl, sc.Ports(), total, sc.Zipf, sc.Keys)
+		return asyncKeyedPassages(tbl, sc.Ports(), total, sc.Zipf, sc.Keys)
 	case sc.HotStripe:
 		if crashing {
 			panic(fmt.Sprintf("rtbench: scenario %s combines HotStripe with CrashEvery", sc.Name))
@@ -759,9 +797,9 @@ func runKeyed(tbl *rme.LockTable, sc Scenario, total int, crashing bool) {
 		if group <= 1 {
 			group = hotGroup
 		}
-		RunHotKeyedPassages(tbl, sc.Ports(), total, group, sc.Batch > 1, sc.Keys)
+		return hotKeyedPassages(tbl, sc.Ports(), total, group, sc.Batch > 1, sc.Keys)
 	default:
-		RunKeyedPassages(tbl, sc.Ports(), total, sc.Zipf, sc.Keys, crashing)
+		return keyedPassages(tbl, sc.Ports(), total, sc.Zipf, sc.Keys, crashing)
 	}
 }
 
@@ -884,10 +922,16 @@ func runSysCrashCell(sc Scenario, strategy string) Sample {
 	}
 }
 
-// forEachWorker splits total passages over workers goroutines (the
-// remainder spread one-per-worker), runs body(w, n) on each with its
-// share, and waits — the fan-out scaffolding every keyed runner shares.
-func forEachWorker(workers, total int, body func(w, n int)) {
+// gatedWorkers splits total passages over workers goroutines (the
+// remainder spread one-per-worker) — the fan-out scaffolding every runner
+// shares. It calls build(w, n) for each worker on the calling goroutine,
+// which builds the worker's state (key stream, contexts, buffers) and
+// returns its passage loop, and starts each worker blocked on a gate. The
+// returned function opens the gate and waits for every loop to finish, so
+// a caller that reads its measurement baseline in between keeps the
+// workers' construction out of the window.
+func gatedWorkers(workers, total int, build func(w, n int) func()) func() {
+	gate := make(chan struct{})
 	var wg sync.WaitGroup
 	per := total / workers
 	extra := total % workers
@@ -899,20 +943,28 @@ func forEachWorker(workers, total int, body func(w, n int)) {
 		if n == 0 {
 			continue
 		}
+		loop := build(w, n)
 		wg.Add(1)
-		go func(w, n int) {
+		go func() {
 			defer wg.Done()
-			body(w, n)
-		}(w, n)
+			<-gate
+			loop()
+		}()
 	}
-	wg.Wait()
+	return func() {
+		close(gate)
+		wg.Wait()
+	}
 }
 
 // Run measures one matrix cell: a warm-up pass (which also fills the node
 // pools and creates the reusable park channels), then Iters measured
 // passages. Allocation numbers come from the runtime's global malloc
-// counters, so they include the per-run worker spawns — amortized over the
-// passage count, that bias is < 0.01/op at the configured scales.
+// counters. A keyed cell builds its workers — goroutines, key streams,
+// contexts, buffers — before the window opens, so they count only what
+// the passages themselves allocate; the other cells still include their
+// per-run worker spawns, which amortize below 0.01/op at the configured
+// scales.
 //
 // Flat scenarios wrap the strategy with one global wait.Instrumented;
 // tree scenarios instead instrument per level (WithTreeInstrumentation)
@@ -957,11 +1009,7 @@ func Run(sc Scenario, strategy string) Sample {
 			opts = append(opts, rme.WithAsyncPrewarm(ports))
 		}
 		if sc.Supervised {
-			// A sub-millisecond tick so a benchmark-sized run spans
-			// hundreds of sweeps.
-			opts = append(opts, rme.WithSupervisor(rme.SupervisorConfig{
-				Interval: 200 * time.Microsecond,
-			}))
+			opts = append(opts, rme.WithSupervisor())
 		}
 		tbl = rme.NewLockTable(sc.Shards, sc.ShardPorts, opts...)
 	default:
@@ -974,7 +1022,7 @@ func Run(sc Scenario, strategy string) Sample {
 		warm = 8 * ports
 	}
 	if tbl != nil {
-		runKeyed(tbl, sc, warm, false)
+		prepareKeyed(tbl, sc, warm, false)()
 	} else {
 		runPassages(lk, ports, warm)
 	}
@@ -1001,11 +1049,15 @@ func Run(sc Scenario, strategy string) Sample {
 		})
 	}
 
+	var measured func()
+	if tbl != nil {
+		measured = prepareKeyed(tbl, sc, sc.Iters, sc.CrashEvery > 0)
+	}
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	if tbl != nil {
-		runKeyed(tbl, sc, sc.Iters, sc.CrashEvery > 0)
+	if measured != nil {
+		measured()
 	} else {
 		runPassages(lk, ports, sc.Iters)
 	}

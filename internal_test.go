@@ -249,21 +249,6 @@ func TestAsyncPrewarmPerShard(t *testing.T) {
 	}
 }
 
-// TestSupervisorIdleTickAllocs pins the supervisor's cost claim at its
-// source: a tick that finds no orphan — one Reclaim over every stripe's
-// lease words — allocates nothing, so a supervised table's warm passages
-// cost what an unsupervised table's do.
-func TestSupervisorIdleTickAllocs(t *testing.T) {
-	tbl := NewLockTable(4, 48, WithTableSeed(1),
-		WithSupervisor(SupervisorConfig{Interval: time.Hour}))
-	defer tbl.Close()
-	tbl.Lock(1)
-	tbl.Unlock(1)
-	if avg := testing.AllocsPerRun(100, tbl.sup.tick); avg != 0 {
-		t.Fatalf("idle supervisor tick allocs = %v, want 0", avg)
-	}
-}
-
 // TestPaddedLayout pins the cache-line padding contract of the hot shared
 // arrays: one slot must never share a (prefetcher-paired) line with its
 // neighbor. If a field is added to one of these types, grow its pad.
@@ -297,6 +282,18 @@ func TestPaddedLayout(t *testing.T) {
 	}
 	if s := unsafe.Sizeof(m); s%cacheLineSize != 0 {
 		t.Errorf("MCSMutex size %d not a multiple of %d", s, cacheLineSize)
+	}
+	// A stripe is exactly two cache lines on 64-bit targets, so the
+	// shard array keeps each stripe's write-hot acquires counter at one
+	// fixed place relative to its read-mostly header. A 136-byte stripe
+	// (one field more) measured +8% hotspot release p99 and +9% crash
+	// acquire and release p99 on the repository benchmark, with the hot
+	// paths compiling to the same code; measure a new field before
+	// growing the struct.
+	if unsafe.Sizeof(uintptr(0)) == 8 {
+		if s := unsafe.Sizeof(lockShard{}); s != 128 {
+			t.Errorf("lockShard size %d, want 128", s)
+		}
 	}
 }
 

@@ -51,7 +51,9 @@ import (
 // Reclaim sweeps every shard, runs the recovery Lock on each orphaned
 // port (retrying injected crashes), releases it, and returns the port to
 // the pool; progress of the whole stripe depends on it, exactly as RME
-// progress depends on crashed processes restarting.
+// progress depends on crashed processes restarting. On a table built
+// WithSupervisor the guard itself starts that recovery, so no caller
+// sweeps (see supervisor.go).
 //
 // # Shard backends
 //
@@ -95,9 +97,9 @@ type LockTable struct {
 	// exists to prevent, reproducible on demand by the regression tests.
 	noAbortFixup atomic.Bool
 
-	// sup is the background orphan-sweep loop (see supervisor.go), nil
-	// unless WithSupervisor was given.
-	sup *supervisor
+	// portsHealed counts the heals supervision started (see supervisor.go);
+	// every shard's healed points here when WithSupervisor was given.
+	portsHealed atomic.Uint64
 }
 
 // portLock is the contract a shard's lock backend satisfies: a k-ported
@@ -232,12 +234,16 @@ type lockShard struct {
 	// nothing, it declines to start.
 	aborts   atomic.Uint64
 	timeouts atomic.Uint64
+	// healed is the table's supervision heal counter, nil on an
+	// unsupervised table: non-nil makes whoever orphans one of the
+	// stripe's ports start its heal (see healAtBirth).
+	healed *atomic.Uint64
 	// disp is the stripe's async service state — the request inbox plus
-	// the runnable flag word the shared executor schedules the stripe by
-	// (see locktable_async.go and dispatch.go; the stripe owns no
-	// dispatcher goroutine). reqMu/reqFree are its recycled request
-	// nodes, per shard so independent stripes' pipelines do not contend
-	// on one table-wide free list.
+	// the scheduled bit the shared executor admits the stripe by (see
+	// locktable_async.go and dispatch.go; the stripe owns no dispatcher
+	// goroutine). reqMu/reqFree are its recycled request nodes, per shard
+	// so independent stripes' pipelines do not contend on one table-wide
+	// free list.
 	disp    dispatcher
 	reqMu   sync.Mutex
 	reqFree *asyncReq
@@ -271,15 +277,15 @@ func NewLockTable(shards, ports int, opts ...Option) *LockTable {
 	}
 	backend := cfg.backend.resolve(ports)
 	t := newTableArena(shards, ports, seed, backend, cfg, opts)
-	t.finishInit(cfg, false)
+	t.finishInit(cfg)
 	return t
 }
 
 // newTableArena builds a table's permanent state — the stripes, their
-// locks, lease pools, and key registers — without starting any background
-// machinery (no supervisor, no dispatchers). NewLockTable and RestoreTable
-// share it: the restore path needs the arena fully built but still inert
-// so it can adopt the checkpointed lease words and critical sections
+// locks, lease pools, and key registers — without starting any goroutine
+// (no heals, no dispatchers). NewLockTable and RestoreTable share it: the
+// restore path needs the arena fully built but still inert so it can
+// adopt the checkpointed lease words and critical sections
 // single-threaded, before finishInit makes the table live.
 func newTableArena(shards, ports int, seed uint64, backend ShardBackend, cfg config, opts []Option) *LockTable {
 	t := &LockTable{
@@ -312,17 +318,20 @@ func newTableArena(shards, ports int, seed uint64, backend ShardBackend, cfg con
 		sh.pool = NewPortLeaser(ports, shOpts...)
 		sh.key = make([]atomic.Uint64, ports)
 		sh.stats = stats
+		if cfg.supervised {
+			sh.healed = &t.portsHealed
+		}
 	}
 	return t
 }
 
-// finishInit starts a built arena's background machinery — the supervisor
-// (eager-sweeping when asked; see supervisor.eager) and the async
-// prewarm's request nodes and worker pool — and is the last step of both
-// construction paths.
-func (t *LockTable) finishInit(cfg config, eagerSweep bool) {
-	if cfg.sup != nil {
-		t.startSupervisor(*cfg.sup, eagerSweep)
+// finishInit makes a built arena live — it starts the heals of a
+// supervised restore's orphans (see superviseRestored) and builds the
+// async prewarm's request nodes and worker pool — and is the last step of
+// both construction paths.
+func (t *LockTable) finishInit(cfg config) {
+	if cfg.supervised {
+		t.superviseRestored()
 	}
 	if cfg.asyncPrewarm > 0 {
 		// Warm every shard: the prewarm promise is per stripe (a request
@@ -395,9 +404,9 @@ func (s ShardStats) WakesPerOp() float64 {
 }
 
 // TableStats is the table-wide observability snapshot: one ShardStats per
-// stripe, in shard order, plus the supervisor's own counters (all zero on
-// a table without WithSupervisor) and the shared dispatcher runtime's
-// pool gauges.
+// stripe, in shard order, plus the supervision's counters (all zero on a
+// table without WithSupervisor) and the shared dispatcher runtime's pool
+// gauges.
 type TableStats struct {
 	Shards     []ShardStats
 	Supervisor SupervisorStats
@@ -535,11 +544,10 @@ func (sh *lockShard) lock(t *LockTable, key uint64, done <-chan struct{}) (PortL
 
 // lockLeased is lock's tail on a port already leased, shared with
 // TryLock's probe front: register key, run the port's LockDone under the
-// orphan-on-crash guard (a named method so the defer is open-coded: the
-// crash-free keyed passage must not allocate), and count the acquire — or,
-// on cancellation, retire the tenancy through abortTenancy.
+// stripe's crash guard, and count the acquire — or, on cancellation,
+// retire the tenancy through abortTenancy.
 func (sh *lockShard) lockLeased(t *LockTable, l PortLease, key uint64, done <-chan struct{}) bool {
-	defer sh.pool.orphanGuard(l)
+	defer sh.crashGuard(l)
 	sh.key[l.Port].Store(key)
 	if !sh.lk.LockDone(l.Port, done) {
 		sh.abortTenancy(t, l)
@@ -550,8 +558,21 @@ func (sh *lockShard) lockLeased(t *LockTable, l PortLease, key uint64, done <-ch
 }
 
 func (sh *lockShard) unlockPort(l PortLease) {
-	defer sh.pool.orphanGuard(l)
+	defer sh.crashGuard(l)
 	sh.lk.Unlock(l.Port)
+}
+
+// crashGuard is the deferred orphan-on-crash handler around a leased
+// port's protocol steps: a Crash panic orphans the tenancy as it unwinds
+// (see orphan), and every panic continues to the caller. A named method so
+// the defer is open-coded: the crash-free keyed passage must not allocate.
+func (sh *lockShard) crashGuard(l PortLease) {
+	if r := recover(); r != nil {
+		if _, ok := AsCrash(r); ok {
+			sh.orphan(l)
+		}
+		panic(r)
+	}
 }
 
 // closedChan is the pre-closed cancellation channel TryLock hands to
@@ -670,8 +691,8 @@ func (sh *lockShard) abortTenancy(t *LockTable, l PortLease) {
 // recoverPort runs port's recovery to completion, absorbing injected
 // crashes: Lock recovers whatever the dead tenancy left (CS re-entry,
 // queue repair, exit completion), Unlock releases; a crash during Unlock
-// is in turn recovered by the next Lock. Reclaim sweeps (the supervisor's
-// included) and abort fix-ups all run it on a claimed (reclaiming) lease.
+// is in turn recovered by the next Lock. Reclaim sweeps, supervised heals
+// and abort fix-ups all run it on a claimed (reclaiming) lease.
 func (sh *lockShard) recoverPort(port int) {
 	for {
 		if crashes(func() { sh.lk.LockDone(port, nil) }) {

@@ -2,7 +2,7 @@ package rme
 
 import (
 	"context"
-	"sync"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -40,30 +40,38 @@ import (
 // A Grant is the stripe tenancy itself, and exactly one party owns it at
 // any moment: the dispatcher until it delivers, then the channel buffer
 // (or callback invocation), then whoever received it. The owner must
-// eventually call Grant.Unlock (release the key) or Grant.Abandon (mark
-// the tenancy orphaned for the next reclaim sweep — the move for a
-// supervisor holding a grant whose intended consumer died). A grant parked
-// in an unreceived channel still holds its stripe: the request is not
-// cancellable, exactly as a synchronous Lock already past its enqueue is
-// not.
+// eventually call Grant.Unlock (release the key) or Grant.Abandon (orphan
+// the tenancy for recovery — the move for a supervisor holding a grant
+// whose intended consumer died). A grant parked in an unreceived channel
+// still holds its stripe: the request is not cancellable, exactly as a
+// synchronous Lock already past its enqueue is not.
 //
 // # Crash semantics
 //
 // Worker deaths keep their meaning under async acquisition:
 //
 //   - A crash injected while the dispatcher runs the lock protocol orphans
-//     the lease (the same OrphanOnCrash guard as the synchronous path),
-//     and the dispatcher — infrastructure, not a modeled process — absorbs
-//     the Crash panic, sweeps, and retries, so the request is eventually
+//     the lease (the same crash guard as the synchronous path), and the
+//     dispatcher — infrastructure, not a modeled process — absorbs the
+//     Crash panic, sweeps, and retries, so the request is eventually
 //     granted. This mirrors Do's reclaim-and-retry supervisor.
 //   - A callback (LockAsyncFunc fn) that dies with a Crash panic orphans
 //     its tenancy in place; the dispatcher absorbs the panic and keeps
 //     serving. The orphan surfaces through Orphans() and is recovered by
-//     the next Reclaim, exactly like a synchronous holder's death.
+//     the next Reclaim (or at once, on a supervised table), exactly like a
+//     synchronous holder's death.
 //   - A requester that dies before receiving leaves the Grant in the
 //     channel — not lost: its supervisor drains the channel and calls
 //     Abandon (or Unlock), routing the tenancy into the ordinary orphan
 //     machinery.
+//
+// # Close
+//
+// Close stops intake with one handshake: it waits only for submissions
+// already past their intake check to schedule their stripes, which never
+// blocks, and then releases the pool. It never waits for a delivery or a
+// heal, since either may be queued behind a key Close's caller holds (see
+// LockTable.Close).
 
 // Grant is a completed asynchronous acquisition: the holder's capability
 // for one key tenancy. The zero Grant is invalid; grants are delivered by
@@ -97,17 +105,18 @@ func (g Grant) Unlock() {
 // before taking ownership (e.g. a worker that crashed between LockAsync
 // and the channel receive; its supervisor drains the channel and abandons
 // the grant). The orphan surfaces through Orphans() and the next reclaim
-// sweep recovers the stripe. Abandon, like Unlock, settles the grant:
+// sweep recovers the stripe; on a table built WithSupervisor, Abandon
+// starts that recovery itself. Abandon, like Unlock, settles the grant:
 // using it afterwards is a stale-lease panic.
 //
 // Abandon remains valid after LockTable.Close: Close stops intake, it does
 // not revoke outstanding grants, and the supervisor draining a dead
 // worker's channels typically runs during shutdown — exactly when the
 // table is already closed. The orphaned tenancy surfaces through Orphans()
-// and Reclaim recovers it as usual; both stay fully functional on a closed
-// table.
+// and is recovered as usual; Reclaim and supervised heals stay fully
+// functional on a closed table.
 func (g Grant) Abandon() {
-	g.sh.pool.Orphan(g.l)
+	g.sh.orphan(g.l)
 	if g.req != nil {
 		g.sh.putReq(g.req)
 	}
@@ -140,21 +149,16 @@ type dispatcher struct {
 	// inbox is a lock-free LIFO of submitted requests (reversed to FIFO by
 	// the engaged worker when it drains).
 	inbox atomic.Pointer[asyncReq]
-	// deliverMu serializes every swap-and-deliver batch of the stripe —
-	// the engaged worker's batches, exiting workers' final drains, and any
-	// close-race drainer goroutines (see drainClosed). Because each batch
-	// is swapped and fully delivered under the mutex, batches are
-	// delivered in the temporal order of their swaps and requests in FIFO
-	// order within each batch, which is what makes LockAsync's
-	// per-submitter grant ordering hold unconditionally, Close races
-	// included. Uncontended (the engagement protocol admits one worker
-	// per stripe) outside those races, so the hot path pays one
-	// uncontended lock per batch.
-	deliverMu sync.Mutex
 	// scheduled is set while the stripe is in the run queue or engaged
 	// with a worker — the executor's at-most-once run-queue admission
-	// protocol; see dispatch.go.
+	// protocol; see dispatch.go. It also makes the engaged worker the
+	// stripe's only deliverer: batches are delivered in the order of their
+	// swaps, and requests in FIFO order within each batch, which is what
+	// makes LockAsync's per-submitter grant ordering hold.
 	scheduled atomic.Bool
+	// submitting counts submissions between their intake check and the end
+	// of their stripe's schedule — Close's intake handshake (see submit).
+	submitting atomic.Int32
 	// depth tracks the stripe's pending async requests: submissions whose
 	// delivery has not yet acquired a lease (or shed). Decremented only
 	// once the tenancy is held — not at batch-swap time — so a request
@@ -226,6 +230,11 @@ func (t *LockTable) LockAsyncContext(ctx context.Context, key uint64) <-chan Gra
 	if ctx == nil || ctx.Done() == nil {
 		return t.LockAsync(key)
 	}
+	// Close is honoured before the shed, so a closed table panics for
+	// every ctx, an already-expired one included.
+	if t.closed.Load() {
+		panic(errClosedAsync)
+	}
 	sh := t.shardOf(key)
 	if err := ctx.Err(); err != nil {
 		sh.noteShed(err)
@@ -278,32 +287,29 @@ func (t *LockTable) LockAsyncFunc(key uint64, fn func(Grant)) {
 	t.submit(sh, r)
 }
 
+// errClosedAsync is the panic of an async acquisition on a closed table.
+const errClosedAsync = "rme: async acquisition on a closed LockTable"
+
 // submit pushes r onto its stripe's inbox and marks the stripe runnable
 // on the shared executor (which claims an idle worker, or spawns one
 // while the pool is under its bound — the spawn is the submit path's
 // only possible allocation, and WithAsyncPrewarm's eager pool removes
 // even that).
 //
-// The closed checks bracket the push, and both are load-bearing. The one
-// before is the intake stop: a submission that observes closed panics and
-// enqueues nothing. The one after closes the stranding race with Close():
-// a submission whose first check passed while Close ran may have pushed
-// onto an inbox the pool has already drained for the last time. If that
-// happened, this submitter is guaranteed to observe closed here (every
-// exiting worker's final drain starts only after Close's store, so a push
-// the drains missed must follow the store — and this load follows the
-// push), and it spawns a transient drainer that completes the stranded
-// requests. The drainer must be its own goroutine, not an inline call:
-// delivery blocks until the stripe's current holder releases, and the
-// current holder can be this very submitter's earlier grant, parked in a
-// channel it cannot receive from while stuck inside submit. All drainers
-// and pool workers may drain concurrently; the inbox Swap hands each
-// request to exactly one of them.
+// The stripe's submitting count brackets the closed check and the
+// schedule; it is Close's half of the intake handshake. A submission
+// that observes closed panics and enqueues nothing. One that observes it
+// open raised its count before that load, and Close loads the counts
+// only after storing closed, so Close sees this submission counted until
+// its stripe is scheduled — and waits for it. Nothing in between blocks:
+// the push is a CAS loop and the run-queue send always has room.
 func (t *LockTable) submit(sh *lockShard, r *asyncReq) {
-	if t.closed.Load() {
-		panic("rme: async acquisition on a closed LockTable")
-	}
 	d := &sh.disp
+	d.submitting.Add(1)
+	if t.closed.Load() {
+		d.submitting.Add(-1)
+		panic(errClosedAsync)
+	}
 	for {
 		h := d.inbox.Load()
 		r.next = h
@@ -313,78 +319,52 @@ func (t *LockTable) submit(sh *lockShard, r *asyncReq) {
 	}
 	d.depth.Add(1)
 	t.exec.schedule(sh)
-	if t.closed.Load() {
-		go t.drainClosed(sh)
-	}
-}
-
-// drainClosed empties sh's inbox and completes every request found — the
-// closed-table settlement path, run by every exiting worker as its final
-// drain after observing closed and on a transient goroutine spawned by
-// any submitter whose post-push re-check observed closed (see submit).
-// Requests are delivered, not dropped: they passed the intake check
-// before Close became visible to them, and an accepted request must end
-// in a grant. Delivery goes through the same mutex-serialized batches as
-// the workers' own engagements, so the per-submitter FIFO grant order
-// holds even for the requests that raced Close.
-func (t *LockTable) drainClosed(sh *lockShard) {
-	for t.deliverBatch(sh) {
-	}
+	d.submitting.Add(-1)
 }
 
 // Close shuts the table's async tier down: subsequent LockAsync /
-// LockAsyncFunc / batch calls panic, the executor's workers drain the
-// stripes' inboxes and exit. Synchronous Lock/Unlock and reclaim sweeps
-// are unaffected, and outstanding grants stay valid — Close stops
-// intake, it does not revoke tenancies. Close is idempotent and safe to
-// race with in-flight async submissions: a submission concurrent with
-// Close either panics (it observed the closed table) or is completed
-// normally — its grant is delivered by an exiting worker's final drain,
-// or failing that by a transient drainer goroutine the submitter spawns
-// on its way out, which in that narrow window delivers grants (and runs
-// LockAsyncFunc callbacks) in place of the pool. No accepted request is
-// ever stranded, and the per-submitter FIFO grant order survives the
-// race (all deliveries of a stripe are serialized through one mutex).
+// LockAsyncContext / LockAsyncFunc / batch calls panic, and the
+// executor's workers deliver what was accepted and exit. Synchronous
+// Lock/Unlock, reclaim sweeps and supervised heals are unaffected, and
+// outstanding grants stay valid — Close stops intake, it does not revoke
+// tenancies. Close is idempotent and safe to race with in-flight async
+// submissions: a submission concurrent with Close either panics (it
+// observed the closed table) or is accepted, and every accepted request
+// is delivered, in the per-submitter FIFO grant order.
 //
-// Close does not interrupt in-flight deliveries, and does not block on
-// them either: it closes the pool's stop channel and returns, and each
-// worker exits once the run queue is empty, after completing the
-// requests it already holds and running one last drain pass. Serving the
-// queue to the end means a stripe queued behind one a peer is blocked on
-// still gets a worker. A worker's goroutine therefore only winds down if
-// the stripes' outstanding tenancies eventually settle (or a sweep
-// reclaims their orphans) — the same liveness assumption every
-// waiter in the table lives under. Close must not wait for that itself:
-// the holder a worker is blocked behind can be a grant parked in Close's
-// caller's own hands (see TestLockTableClose's close-then-settle pattern).
+// Close stores closed, waits until no submission that saw the table open
+// is still between its check and its stripe's schedule (see submit), then
+// closes the pool's stop channel. So when stop closes, every accepted
+// request sits on an inbox whose stripe is queued or engaged, and a
+// worker leaves only once the run queue is empty: no accepted request is
+// stranded.
+//
+// Close waits for nothing else — not for deliveries, not for heals. A
+// delivery blocks until the stripe's holder settles, and a supervised
+// heal until the lock it recovers is free, and either may be waiting on
+// Close's caller: a grant parked in the caller's own hands (see
+// TestLockTableClose's close-then-settle pattern) or a key the caller
+// holds. A worker's goroutine therefore winds down once the stripes'
+// outstanding tenancies settle or heal — the same liveness assumption
+// every waiter in the table lives under.
 func (t *LockTable) Close() {
 	if t.closed.Swap(true) {
 		return
 	}
-	// Join the supervisor first: Close returning means no supervisor work
-	// is still in flight (a sweep it is running included).
-	if t.sup != nil {
-		t.sup.join()
+	for i := range t.shards {
+		for t.shards[i].disp.submitting.Load() != 0 {
+			runtime.Gosched()
+		}
 	}
-	// Release the whole pool: each worker empties the run queue, runs its
-	// final drain and exits.
 	close(t.exec.stop)
 }
 
 // deliverBatch swaps one inbox batch and delivers every request in it,
-// FIFO, all under the stripe's delivery mutex; it reports whether there
-// was a batch to deliver. Swapping inside the mutex is what makes grant
-// order well-defined under concurrent drains: batches are delivered in
-// the temporal order of their swaps, and a submitter's later push can
+// FIFO. Only the worker engaged with the stripe calls it, so batches are
+// delivered in the order of their swaps, and a submitter's later push can
 // only land in a later batch.
-func (t *LockTable) deliverBatch(sh *lockShard) bool {
-	d := &sh.disp
-	d.deliverMu.Lock()
-	defer d.deliverMu.Unlock()
-	head := d.inbox.Swap(nil)
-	if head == nil {
-		return false
-	}
+func (t *LockTable) deliverBatch(sh *lockShard) {
+	head := sh.disp.inbox.Swap(nil)
 	// The inbox is push-LIFO; reverse the drained burst to FIFO so
 	// grants go out in submission order. The stripe's depth is NOT
 	// decremented here: a swapped-but-undelivered request still owes a
@@ -405,7 +385,6 @@ func (t *LockTable) deliverBatch(sh *lockShard) bool {
 		r.next = nil
 		t.deliver(sh, r)
 	}
-	return true
 }
 
 // deliver acquires r's tenancy and completes the request. Injected
@@ -470,7 +449,7 @@ func (t *LockTable) deliver(sh *lockShard, r *asyncReq) {
 				sh.putReq(r)
 				return
 			}
-			sh.pool.Orphan(g.l)
+			sh.orphan(g.l)
 			sh.putReq(r)
 		}
 		return
@@ -501,7 +480,9 @@ func (t *LockTable) callbackGuard(g Grant) {
 	}
 	// Best-effort orphan: the CAS fails harmlessly if fn already settled
 	// the grant (released, abandoned, or a later tenancy moved the word).
-	g.sh.pool.transition(g.l, leaseHeld, leaseOrphaned)
+	if g.sh.pool.transition(g.l, leaseHeld, leaseOrphaned) {
+		g.sh.healAtBirth(g.l)
+	}
 }
 
 // getReq pops a recycled request node from the shard's free list, or

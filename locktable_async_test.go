@@ -1,6 +1,7 @@
 package rme_test
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"sync"
@@ -261,10 +262,10 @@ func TestLockAsyncFuncCrashOrphans(t *testing.T) {
 // concurrently with Close() used to push onto an inbox the dispatcher had
 // already drained for the last time, leaving the request granted never —
 // no grant, no panic. Post-fix, every submission that survives the closed
-// check must end in a delivered grant (the dispatcher's final drain or the
-// submitter's own closed rescue completes it); submissions that observe
-// closed panic as documented. Run under -race: the bug is a pure
-// interleaving window.
+// check must end in a delivered grant (Close waits for it to schedule its
+// stripe before releasing the pool); submissions that observe closed
+// panic as documented. Run under -race: the bug is a pure interleaving
+// window.
 func TestLockAsyncSubmitCloseRace(t *testing.T) {
 	// The stranding window is a submitter preempted between its closed
 	// check and its inbox push while Close and the dispatcher's exit land
@@ -353,10 +354,17 @@ func TestLockTableClose(t *testing.T) {
 	// Sync paths unaffected.
 	tbl.Lock(2)
 	tbl.Unlock(2)
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancelExpired()
+	live, cancelLive := context.WithCancel(context.Background())
+	defer cancelLive()
 	for _, fn := range []func(){
 		func() { tbl.LockAsync(1) },
+		func() { tbl.LockAsyncContext(expired, 1) },
+		func() { tbl.LockAsyncContext(live, 1) },
 		func() { tbl.LockAsyncFunc(1, func(rme.Grant) {}) },
 		func() { tbl.LockBatch([]uint64{1}) },
+		func() { tbl.LockBatchContext(live, []uint64{1}) },
 	} {
 		func() {
 			defer func() {

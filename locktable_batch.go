@@ -79,10 +79,11 @@ func (b *Batch) Keys() []uint64 { return b.keys }
 //
 // If the calling goroutine dies mid-batch (a Crash panic out of the lock
 // protocol), every stripe acquired so far — and only those — is orphaned
-// as the panic unwinds, surfacing via Orphans() for the supervisor's
-// sweep; DoBatch packages the sweep-and-retry loop. Crash-free batches
-// allocate nothing once the table's batch free list and node pools are
-// warm, amortized over the batch.
+// as the panic unwinds, surfacing via Orphans() for a reclaim sweep (a
+// supervised table heals them itself); DoBatch packages the
+// sweep-and-retry loop. Crash-free batches allocate nothing once the
+// table's batch free list and node pools are warm, amortized over the
+// batch.
 func (t *LockTable) LockBatch(keys []uint64) *Batch {
 	t.checkBatch(len(keys))
 	b := t.getBatch()
@@ -186,8 +187,8 @@ func (b *Batch) lockAll(done <-chan struct{}) *lockShard {
 
 // orphanHeldOnCrash is lockAll's deferred crash guard: a Crash panic
 // orphans exactly the stripes acquired so far (the batch-wide analogue of
-// the per-passage OrphanOnCrash guard), recycles the batch — the caller
-// will never see it — and lets the panic continue to the supervisor.
+// the per-passage crash guard), recycles the batch — the caller will never
+// see it — and lets the panic continue to the caller's recovery harness.
 func (b *Batch) orphanHeldOnCrash() {
 	r := recover()
 	if r == nil {
@@ -195,7 +196,7 @@ func (b *Batch) orphanHeldOnCrash() {
 	}
 	if _, ok := AsCrash(r); ok {
 		for i := range b.stripes {
-			b.stripes[i].sh.pool.Orphan(b.stripes[i].l)
+			b.stripes[i].sh.orphan(b.stripes[i].l)
 		}
 		b.t.putBatch(b)
 	}
@@ -205,8 +206,8 @@ func (b *Batch) orphanHeldOnCrash() {
 // Unlock releases every stripe of the batch and recycles it. If the
 // calling goroutine dies inside a release, the interrupted stripe and
 // every not-yet-released one are orphaned as the panic unwinds (their
-// tenancies died holding the CS), and the supervisor's sweep completes
-// the releases.
+// tenancies died holding the CS), and a reclaim sweep — or, on a
+// supervised table, the heal each orphan starts — completes the releases.
 func (b *Batch) Unlock() {
 	defer b.orphanUnreleasedOnCrash()
 	for i := range b.stripes {
@@ -228,7 +229,7 @@ func (b *Batch) orphanUnreleasedOnCrash() {
 	}
 	if _, ok := AsCrash(r); ok {
 		for i := b.released; i < len(b.stripes); i++ {
-			b.stripes[i].sh.pool.Orphan(b.stripes[i].l)
+			b.stripes[i].sh.orphan(b.stripes[i].l)
 		}
 		b.t.putBatch(b)
 	}

@@ -14,14 +14,14 @@ import (
 	"github.com/rmelib/rme/internal/xrand"
 )
 
-// This file proves the supervised table: the WithSupervisor background
-// sweep heals orphans with no caller-driven Reclaim anywhere in these
-// tests, and Close joins it. None of the supervised tests call Reclaim:
-// healing crash orphans and abandoned grants is exactly the contract
-// under test.
+// This file proves the supervised table: WithSupervisor heals every orphan
+// from its birth, with no caller-driven Reclaim anywhere in these tests,
+// and Close never waits on its caller. None of the supervised tests call
+// Reclaim: healing crash orphans and abandoned grants is exactly the
+// contract under test.
 
 // waitQuiesced polls until the table drains or the deadline passes,
-// without sweeping — on a supervised table the supervisor must do that.
+// without sweeping — on a supervised table the heals must do that.
 func waitQuiesced(t *testing.T, tbl *rme.LockTable, d time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -36,7 +36,7 @@ func waitQuiesced(t *testing.T, tbl *rme.LockTable, d time.Duration) {
 
 // absorbCrash runs op, swallowing an injected Crash panic (any other
 // panic propagates); it reports whether op completed. Unlike the older
-// storm tests' absorb helper it does NOT sweep — the supervisor owns that.
+// storm tests' absorb helper it does NOT sweep — the supervision owns that.
 func absorbCrash(op func()) (completed bool) {
 	defer func() {
 		r := recover()
@@ -56,7 +56,8 @@ func absorbCrash(op func()) (completed bool) {
 // abort/crash/async storm: crashes orphan ports, cancelled-after-granted
 // async requests auto-Abandon into the orphan machinery, and some grants
 // are explicitly Abandoned — and nothing in the test ever sweeps. The
-// supervisor alone must keep every stripe live and drain the debris.
+// heals each orphaning starts must alone keep every stripe live and drain
+// the debris.
 func TestSupervisorHealsStormNoManualReclaim(t *testing.T) {
 	backendMatrix(t, func(t *testing.T, backend rme.ShardBackend) {
 		const workers = 24
@@ -66,8 +67,7 @@ func TestSupervisorHealsStormNoManualReclaim(t *testing.T) {
 			iters = 50
 		}
 		tbl := rme.NewLockTable(8, 4, rme.WithTableSeed(83),
-			rme.WithShardBackend(backend),
-			rme.WithSupervisor(rme.SupervisorConfig{Interval: 500 * time.Microsecond}))
+			rme.WithShardBackend(backend), rme.WithSupervisor())
 		defer tbl.Close()
 
 		var calls atomic.Uint64
@@ -162,9 +162,6 @@ func TestSupervisorHealsStormNoManualReclaim(t *testing.T) {
 			t.Error("storm abandoned no grants")
 		}
 		st := tbl.Stats()
-		if st.Supervisor.Sweeps == 0 {
-			t.Error("supervisor ran no sweeps")
-		}
 		if crashCount.Load() > 0 && st.Supervisor.PortsHealed == 0 {
 			t.Errorf("crashes injected (%d) but supervisor healed nothing", crashCount.Load())
 		}
@@ -208,13 +205,14 @@ func TestSupervisorQuiescedInboxDepth(t *testing.T) {
 	waitQuiesced(t, tbl, 5*time.Second)
 }
 
-// TestSupervisorHealsDescriptorHolder pins supervisor-only availability
-// on the default shape. A Lock killed at M.swap dies holding its stripe's
-// MCS enqueue descriptor, which stalls every arrival until the orphan is
-// reclaimed; with no Reclaim call anywhere, a rival Lock on the stripe
-// must enter and the orphan count must drain. The flat row crashes at L14
+// TestSupervisorHealsDescriptorHolder pins supervised availability on the
+// default shape. A Lock killed at M.swap dies holding its stripe's MCS
+// enqueue descriptor, which stalls every arrival until the orphan is
+// healed; with no Reclaim call anywhere, a rival Lock on the stripe must
+// enter and the orphan count must drain. The flat row crashes at L14
 // (tail swung, pred not yet recorded), where the rival queues behind the
-// broken node instead. Each row logs its median crash-to-entry time.
+// broken node instead. Each row logs its median crash-to-entry time,
+// which is the heal's own latency: it starts as the crash unwinds.
 func TestSupervisorHealsDescriptorHolder(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -226,8 +224,7 @@ func TestSupervisorHealsDescriptorHolder(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tbl := rme.NewLockTable(1, 4, rme.WithTableSeed(41),
-				rme.WithShardBackend(c.backend),
-				rme.WithSupervisor(rme.SupervisorConfig{Interval: time.Millisecond}))
+				rme.WithShardBackend(c.backend), rme.WithSupervisor())
 			defer tbl.Close()
 			const key, rounds = 5, 20
 			lat := make([]time.Duration, 0, rounds)
@@ -261,27 +258,119 @@ func TestSupervisorHealsDescriptorHolder(t *testing.T) {
 	}
 }
 
-// TestSupervisorCloseJoins pins Close's supervisor join: after Close
-// returns, the loop has fully stopped (its tick counter never advances
-// again) and a second Close is a no-op.
-func TestSupervisorCloseJoins(t *testing.T) {
-	tbl := rme.NewLockTable(4, 2, rme.WithTableSeed(9),
-		rme.WithSupervisor(rme.SupervisorConfig{Interval: 200 * time.Microsecond}))
-	// Let it tick at least once.
-	deadline := time.Now().Add(5 * time.Second)
-	for tbl.Stats().Supervisor.Sweeps == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("supervisor never ticked")
-		}
-		time.Sleep(time.Millisecond)
+// TestSupervisorCloseWhileHolding pins that Close never waits on its
+// caller. The caller holds key 1 of a one-stripe flat table, and a Lock(2)
+// killed at L14 leaves an orphan whose heal queues behind key 1. Close
+// must return while key 1 is still held; once the caller unlocks, the heal
+// finishes and the table drains.
+func TestSupervisorCloseWhileHolding(t *testing.T) {
+	tbl := rme.NewLockTable(1, 4, rme.WithTableSeed(7),
+		rme.WithShardBackend(rme.FlatBackend), rme.WithSupervisor())
+	tbl.Lock(1)
+	tbl.SetCrashFunc(crashOnceAt("L14"))
+	expectCrash(t, func() { tbl.Lock(2) })
+	tbl.SetCrashFunc(nil)
+	if got := tbl.Stats().Supervisor.PortsHealed; got != 1 {
+		t.Errorf("PortsHealed = %d after one death, want 1", got)
 	}
-	tbl.Close()
-	before := tbl.Stats().Supervisor.Sweeps
-	time.Sleep(5 * time.Millisecond)
-	if after := tbl.Stats().Supervisor.Sweeps; after != before {
-		t.Errorf("supervisor still ticking after Close: %d -> %d", before, after)
+
+	closed := make(chan struct{})
+	go func() {
+		tbl.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		tbl.Unlock(1)
+		<-closed
+		t.Fatal("Close blocked while its caller held a key a heal was queued behind")
 	}
-	tbl.Close() // idempotent
+	tbl.Unlock(1)
+	waitQuiesced(t, tbl, 5*time.Second)
+}
+
+// TestSupervisorHealsEveryOrphanSite runs one row per way a supervised
+// table's tenancy can be orphaned, and each row must drain with no Reclaim
+// call: the orphaning party itself starts the heal. Every row then locks
+// each of its keys once, so a stripe left broken by its heal fails too.
+func TestSupervisorHealsEveryOrphanSite(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		orphan func(t *testing.T, tbl *rme.LockTable, keys []uint64)
+	}{
+		{"lock", func(t *testing.T, tbl *rme.LockTable, keys []uint64) {
+			tbl.SetCrashFunc(crashOnceAt("M.swap"))
+			expectCrash(t, func() { tbl.Lock(keys[0]) })
+		}},
+		{"unlock", func(t *testing.T, tbl *rme.LockTable, keys []uint64) {
+			tbl.Lock(keys[0])
+			tbl.SetCrashFunc(crashOnceAt("M.cs"))
+			expectCrash(t, func() { tbl.Unlock(keys[0]) })
+		}},
+		{"batch-acquire", func(t *testing.T, tbl *rme.LockTable, keys []uint64) {
+			// Dies enqueuing on the second stripe: the batch guard orphans
+			// the first, the stripe's own guard the second.
+			var swaps atomic.Int32
+			tbl.SetCrashFunc(func(port int, point string) bool {
+				return point == "M.swap" && swaps.Add(1) == 2
+			})
+			expectCrash(t, func() { tbl.LockBatch(keys) })
+		}},
+		{"batch-release", func(t *testing.T, tbl *rme.LockTable, keys []uint64) {
+			b := tbl.LockBatch(keys)
+			var exits atomic.Int32
+			tbl.SetCrashFunc(func(port int, point string) bool {
+				return point == "M.cs" && exits.Add(1) == 2
+			})
+			expectCrash(t, b.Unlock)
+		}},
+		{"callback", func(t *testing.T, tbl *rme.LockTable, keys []uint64) {
+			died := make(chan struct{})
+			tbl.LockAsyncFunc(keys[0], func(rme.Grant) {
+				close(died)
+				panic(rme.Crash{Point: "callback died holding its grant"})
+			})
+			<-died
+		}},
+		{"abandon", func(t *testing.T, tbl *rme.LockTable, keys []uint64) {
+			(<-tbl.LockAsync(keys[0])).Abandon()
+		}},
+		{"cancel-after-grant", func(t *testing.T, tbl *rme.LockTable, keys []uint64) {
+			// The request's worker leases a port and queues behind the
+			// held key; the ctx dies before the stripe is handed over, and
+			// nobody receives, so the grant auto-Abandons.
+			rival := keysOnStripe(tbl, tbl.ShardIndex(keys[0]), 2)[1]
+			tbl.Lock(keys[0])
+			ctx, cancel := context.WithCancel(context.Background())
+			ch := tbl.LockAsyncContext(ctx, rival)
+			waitFor(t, 5*time.Second, "the request to lease a port", func() bool { return tbl.InUse() == 2 })
+			cancel()
+			tbl.Unlock(keys[0])
+			waitQuiesced(t, tbl, 5*time.Second)
+			if _, ok := <-ch; ok {
+				t.Fatal("a cancelled request's grant was delivered")
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tbl := rme.NewLockTable(4, 4, rme.WithTableSeed(29), rme.WithSupervisor())
+			defer tbl.Close()
+			keys := keysOnDistinctStripes(tbl, 3)
+			c.orphan(t, tbl, keys)
+			tbl.SetCrashFunc(nil)
+			// A callback's guard runs after the callback has signalled, so
+			// wait for the heal count rather than read it once.
+			waitFor(t, 5*time.Second, "the orphaning to start a heal", func() bool {
+				return tbl.Stats().Supervisor.PortsHealed > 0
+			})
+			waitQuiesced(t, tbl, 5*time.Second)
+			for _, k := range keys {
+				tbl.Lock(k)
+				tbl.Unlock(k)
+			}
+		})
+	}
 }
 
 // TestSupervisorStatsJSON pins the MarshalJSON surface byte for byte:
@@ -301,7 +390,7 @@ func TestSupervisorStatsJSON(t *testing.T) {
 	const stripe = `{"acquires":1,"publishes":0,"wakes":0,"sleeps":0,"parks":0,"spin_rounds":0,` +
 		`"aborts":0,"timeouts":0,"orphans":0,"inbox_depth":0,"wakes_per_op":0}`
 	const want = `{"shards":[` + stripe + `],"total":` + stripe +
-		`,"supervisor":{"sweeps":0,"ports_healed":0}` +
+		`,"supervisor":{"ports_healed":0}` +
 		`,"dispatcher":{"pool_size":4,"workers":0,"engaged":0,"run_queue_depth":0,"batches":0,"steals":0}}`
 	if got := string(raw); got != want {
 		t.Errorf("stats JSON:\n got %s\nwant %s", got, want)

@@ -54,7 +54,7 @@ type config struct {
 	asyncPrewarm int
 	backend      ShardBackend
 	backendSet   bool
-	sup          *SupervisorConfig
+	supervised   bool
 }
 
 // dispatcherPool resolves the executor's worker bound: the explicit
@@ -170,21 +170,23 @@ func WithShardBackend(b ShardBackend) Option {
 	}
 }
 
-// WithSupervisor attaches a background supervisor goroutine to a
-// LockTable: a loop whose every tick is one Reclaim sweep of orphaned
-// ports (and abandoned async grants, which park in the same orphan
-// state). A supervised table needs no caller-driven Reclaim pattern:
-// crash, cancel-after-grant, and abandoned-grant debris all heal in the
-// background. The supervisor never changes a stripe's lock shape or port
-// count; both stay as NewLockTable built them. A table restored from a
-// checkpoint that carried orphans sweeps once immediately instead of
-// waiting out its first interval. Close() stops the supervisor and joins
-// it, with any sweep it is running, before winding down the dispatchers.
+// WithSupervisor makes a LockTable heal its own orphans: whoever orphans
+// a port — a worker dying in Lock, Unlock or a batch, a crashing
+// LockAsyncFunc callback, Grant.Abandon, or a cancelled-but-granted async
+// request — claims it and starts its recovery at once, on a goroutine of
+// its own, the same heal a Reclaim sweep runs. A supervised table needs no
+// caller-driven Reclaim pattern, and it runs no background loop: nothing
+// polls while nothing is orphaned. A table restored from a checkpoint
+// starts the heals of every orphan its image carried before it serves.
+// Reclaim stays available and heals whatever it claims first; the
+// supervision never changes a stripe's lock shape or port count. See
+// supervisor.go.
 //
-// The zero SupervisorConfig is valid and selects the default cadence.
-// New, NewTree, and NewMCS ignore the option.
-func WithSupervisor(sc SupervisorConfig) Option {
-	return func(c *config) { c.sup = &sc }
+// Close does not wait for heals: a heal queued behind a lock the caller
+// holds finishes once the caller unlocks. New, NewTree, and NewMCS ignore
+// the option.
+func WithSupervisor() Option {
+	return func(c *config) { c.supervised = true }
 }
 
 // WithTreeInstrumentation makes NewTree attach a WaitStats counter block

@@ -27,7 +27,7 @@ func (s ShardStats) MarshalJSON() ([]byte, error) {
 }
 
 // MarshalJSON encodes the whole table snapshot: the per-stripe array, the
-// Total() aggregate, the supervisor's counters, and the dispatcher
+// Total() aggregate, the supervision's counters, and the dispatcher
 // pool's gauges.
 func (ts TableStats) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {
